@@ -99,37 +99,6 @@ def traces_to_csv(traces) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _forward_cover_counts(g: DirectedGraph) -> list[int]:
-    # cover[x] = number of edges (i, j), i <= x < j, for 1-indexed cuts x
-    diff = [0] * (g.n + 2)
-    for a, b in g.edges():
-        i, j = a + 1, b + 1
-        if i < j:
-            diff[i] += 1
-            diff[j] -= 1
-    cover = [0] * (g.n + 1)
-    run = 0
-    for x in range(1, g.n + 1):
-        run += diff[x]
-        cover[x] = run
-    return cover
-
-
-def smallest_untouched_cut(g: DirectedGraph, chain_start: int = 1) -> int | None:
-    """Least 1-indexed ``x >= chain_start`` whose only forward crossing
-    edge is ``(x, x+1)``, or None if every cut is touched.
-
-    The cut at x separates 1-indexed nodes ``{1..x}`` from ``{x+1..n}``;
-    only edges directed low-to-high count as crossings.  On a fresh
-    strong lower-bound instance the answer is ``n/2``.
-    """
-    cover = _forward_cover_counts(g)
-    for x in range(max(1, chain_start), g.n):
-        if cover[x] == 1 and g.has_edge(x - 1, x):
-            return x
-    return None
-
-
 class ChainCutTracker:
     """Incrementally tracks the smallest untouched chain cut.
 
@@ -158,6 +127,17 @@ class ChainCutTracker:
             if x >= self._chain_start and run == 1 and g.has_edge(x - 1, x):
                 return x
         return None
+
+
+def smallest_untouched_cut(g: DirectedGraph, chain_start: int = 1) -> int | None:
+    """Least 1-indexed ``x >= chain_start`` whose only forward crossing
+    edge is ``(x, x+1)``, or None if every cut is touched.
+
+    The cut at x separates 1-indexed nodes ``{1..x}`` from ``{x+1..n}``;
+    only edges directed low-to-high count as crossings.  On a fresh
+    strong lower-bound instance the answer is ``n/2``.
+    """
+    return ChainCutTracker(g, chain_start).smallest_untouched()
 
 
 class TraceCollector:

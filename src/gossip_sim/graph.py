@@ -1,14 +1,14 @@
 """Dynamic simple-graph structures for round-based discovery simulations.
 
 Both graph classes are grow-only: the simulated processes add edges and
-never remove them.  Every neighbor set is kept twice, as a list and as a
-set, so that uniform sampling (list indexing) and membership tests are
-both O(1).  Nodes are dense integers ``0..n-1``.
+never remove them.  They share one storage layout: every node's
+(out-)neighbors are kept twice, as a list and as a set, so that uniform
+sampling (list indexing) and membership tests are both O(1).  Nodes are
+dense integers ``0..n-1``.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable, Iterator
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "EdgeListFormatError",
     "UndirectedGraph",
     "DirectedGraph",
-    "rand_index",
     "transitive_closure",
     "is_strongly_connected",
     "is_weakly_connected",
@@ -54,26 +53,10 @@ class EdgeListFormatError(GraphError):
     """Malformed edge-list file."""
 
 
-def rand_index(rng: random.Random, n: int) -> int:
-    """Exactly uniform index in ``[0, n)`` drawn from ``rng``'s bit stream.
-
-    Uses rejection sampling on ``getrandbits`` so every index has
-    probability exactly ``1/n``.  ``n == 1`` consumes no randomness.
-    """
-    if n <= 1:
-        if n == 1:
-            return 0
-        raise ValueError("empty range")
-    k = n.bit_length()
-    gb = rng.getrandbits
-    r = gb(k)
-    while r >= n:
-        r = gb(k)
-    return r
-
-
-class UndirectedGraph:
-    """Simple undirected graph on nodes ``0..n-1`` with a grow-only edge set."""
+class _Graph:
+    """Storage shared by both graph types: ``_adj[u]`` and ``_adj_sets[u]``
+    hold the (out-)neighbors of ``u``, an undirected edge in both directions.
+    Each subclass writes ``add_edge`` out in full, as it runs per new edge."""
 
     __slots__ = ("n", "_adj", "_adj_sets", "edge_count")
 
@@ -87,14 +70,50 @@ class UndirectedGraph:
         for u, v in edges:
             self.add_edge(u, v)
 
+    def _check_node(self, u: int) -> None:
+        if not 0 <= u < self.n:
+            raise InvalidNodeError(f"node {u} out of range for n={self.n}")
+
+    def has_edge(self, u: int, v: int) -> bool:
+        self._check_node(u)
+        self._check_node(v)
+        return v in self._adj_sets[u]
+
+    def copy(self):
+        g = type(self).__new__(type(self))
+        g.n = self.n
+        g._adj = [list(a) for a in self._adj]
+        g._adj_sets = [set(s) for s in self._adj_sets]
+        g.edge_count = self.edge_count
+        return g
+
+    def reachable_from(self, u: int) -> set[int]:
+        """All nodes reachable from ``u``, excluding ``u`` unless on a cycle."""
+        self._check_node(u)
+        adj = self._adj
+        seen: set[int] = set()
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, edges={self.edge_count})"
+
+
+class UndirectedGraph(_Graph):
+    """Simple undirected graph on nodes ``0..n-1`` with a grow-only edge set."""
+
+    __slots__ = ()
+
     @property
     def missing_count(self) -> int:
         """Edges absent compared with the complete graph on ``n`` nodes."""
         return self.n * (self.n - 1) // 2 - self.edge_count
-
-    def _check_node(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise InvalidNodeError(f"node {u} out of range for n={self.n}")
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert edge ``{u, v}``; return True iff it was newly added."""
@@ -111,11 +130,6 @@ class UndirectedGraph:
         self.edge_count += 1
         return True
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._adj_sets[u]
-
     def degree(self, u: int) -> int:
         self._check_node(u)
         return len(self._adj[u])
@@ -130,14 +144,6 @@ class UndirectedGraph:
 
     def is_complete(self) -> bool:
         return self.missing_count == 0
-
-    def sample_neighbor(self, u: int, rng: random.Random) -> int:
-        """Uniform random neighbor of ``u`` (probability exactly 1/degree)."""
-        self._check_node(u)
-        nbrs = self._adj[u]
-        if not nbrs:
-            raise IsolatedNodeError(u)
-        return nbrs[rand_index(rng, len(nbrs))]
 
     def khop_neighborhood(self, u: int, i: int) -> set[int]:
         """Nodes at shortest-path distance exactly ``i`` from ``u``.
@@ -168,17 +174,7 @@ class UndirectedGraph:
         return len(self._adj_sets[v].intersection(nodes))
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+        return self.n == 1 or len(self.reachable_from(0)) == self.n
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
@@ -187,36 +183,11 @@ class UndirectedGraph:
                 if u < v:
                     yield (u, v)
 
-    def copy(self) -> UndirectedGraph:
-        g = UndirectedGraph.__new__(UndirectedGraph)
-        g.n = self.n
-        g._adj = [list(a) for a in self._adj]
-        g._adj_sets = [set(s) for s in self._adj_sets]
-        g.edge_count = self.edge_count
-        return g
 
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(n={self.n}, edges={self.edge_count})"
-
-
-class DirectedGraph:
+class DirectedGraph(_Graph):
     """Simple digraph on nodes ``0..n-1`` with a grow-only edge set."""
 
-    __slots__ = ("n", "_out", "_out_sets", "edge_count")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 1:
-            raise GraphError(f"need at least one node, got n={n}")
-        self.n = n
-        self._out: list[list[int]] = [[] for _ in range(n)]
-        self._out_sets: list[set[int]] = [set() for _ in range(n)]
-        self.edge_count = 0
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    def _check_node(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise InvalidNodeError(f"node {u} out of range for n={self.n}")
+    __slots__ = ()
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert edge ``(u, v)``; return True iff it was newly added."""
@@ -224,66 +195,29 @@ class DirectedGraph:
         self._check_node(v)
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}")
-        if v in self._out_sets[u]:
+        if v in self._adj_sets[u]:
             return False
-        self._out[u].append(v)
-        self._out_sets[u].add(v)
+        self._adj[u].append(v)
+        self._adj_sets[u].add(v)
         self.edge_count += 1
         return True
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._out_sets[u]
-
     def out_degree(self, u: int) -> int:
         self._check_node(u)
-        return len(self._out[u])
+        return len(self._adj[u])
 
     def successors(self, u: int) -> list[int]:
         self._check_node(u)
-        return list(self._out[u])
+        return list(self._adj[u])
 
     def min_out_degree(self) -> int:
-        return min(len(a) for a in self._out)
-
-    def sample_successor(self, u: int, rng: random.Random) -> int:
-        """Uniform random out-neighbor of ``u``."""
-        self._check_node(u)
-        nbrs = self._out[u]
-        if not nbrs:
-            raise IsolatedNodeError(u)
-        return nbrs[rand_index(rng, len(nbrs))]
+        return min(len(a) for a in self._adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs in sorted order."""
         for u in range(self.n):
-            for v in sorted(self._out_sets[u]):
+            for v in sorted(self._adj_sets[u]):
                 yield (u, v)
-
-    def copy(self) -> DirectedGraph:
-        g = DirectedGraph.__new__(DirectedGraph)
-        g.n = self.n
-        g._out = [list(a) for a in self._out]
-        g._out_sets = [set(s) for s in self._out_sets]
-        g.edge_count = self.edge_count
-        return g
-
-    def reachable_from(self, u: int) -> set[int]:
-        """All nodes reachable from ``u``, excluding ``u`` unless on a cycle."""
-        self._check_node(u)
-        seen: set[int] = set()
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in self._out[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    def __repr__(self) -> str:
-        return f"DirectedGraph(n={self.n}, edges={self.edge_count})"
 
 
 def transitive_closure(g: DirectedGraph) -> DirectedGraph:
@@ -303,28 +237,14 @@ def transitive_closure(g: DirectedGraph) -> DirectedGraph:
 def is_strongly_connected(g: DirectedGraph) -> bool:
     if g.n == 1:
         return True
-    if len(g.reachable_from(0) | {0}) != g.n:
+    if len(g.reachable_from(0)) != g.n:
         return False
-    # reverse reachability from node 0
-    preds: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges():
-        preds[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in preds[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == g.n
+    reverse = DirectedGraph(g.n, ((v, u) for u, v in g.edges()))
+    return len(reverse.reachable_from(0)) == g.n
 
 
 def is_weakly_connected(g: DirectedGraph) -> bool:
-    und = UndirectedGraph(g.n)
-    for u, v in g.edges():
-        und.add_edge(u, v)
-    return und.is_connected()
+    return UndirectedGraph(g.n, g.edges()).is_connected()
 
 
 def format_edge_list(g: UndirectedGraph | DirectedGraph) -> str:
@@ -349,6 +269,11 @@ def parse_edge_list(text: str) -> UndirectedGraph | DirectedGraph:
         raise EdgeListFormatError(f"bad header {lines[0]!r}; n and m must be integers") from None
     if len(lines) - 1 != m:
         raise EdgeListFormatError(f"header declares {m} edges but found {len(lines) - 1}")
+    # bound n by the edge lines before allocating: m arcs touch at most 2m nodes
+    if head[2] == "u" and m < n - 1:
+        raise EdgeListFormatError(f"{m} edges cannot connect {n} nodes")
+    if head[2] == "d" and n > max(1, 2 * m):
+        raise EdgeListFormatError(f"{m} edges cannot touch all of {n} nodes")
     g: UndirectedGraph | DirectedGraph
     g = UndirectedGraph(n) if head[2] == "u" else DirectedGraph(n)
     for ln in lines[1:]:

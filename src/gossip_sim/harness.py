@@ -89,14 +89,11 @@ class AggregateRow:
     capped_trials: int
 
 
-def _run_one(args: tuple) -> tuple[int, int, bool]:
-    index, family, n, kind_value, seed, max_rounds, p, clique_frac = args
-    g = generate(family, n, seed, p=p, clique_frac=clique_frac)
-    config = ProcessConfig(
-        kind=ProcessKind(kind_value), seed=seed, max_rounds=max_rounds
-    )
-    rounds, capped = run_to_convergence(g, config)
-    return index, rounds, capped
+def _run_one(task: tuple[ExperimentSpec, int, int]) -> tuple[int, bool]:
+    spec, n, seed = task
+    g = generate(spec.family, n, seed, p=spec.p, clique_frac=spec.clique_frac)
+    config = ProcessConfig(kind=spec.kind, seed=seed, max_rounds=spec.max_rounds)
+    return run_to_convergence(g, config)
 
 
 def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
@@ -107,45 +104,28 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
     generator randomness (the random family) reuses the same seed.
     """
     sizes = sorted(spec.sizes)
-    tasks = []
-    index = 0
-    for n in sizes:
-        for _trial in range(spec.trials):
-            seed = trial_seed(spec.master_seed, index)
-            tasks.append(
-                (
-                    index,
-                    spec.family,
-                    n,
-                    spec.kind.value,
-                    seed,
-                    spec.max_rounds,
-                    spec.p,
-                    spec.clique_frac,
-                )
-            )
-            index += 1
+    tasks = [
+        (spec, n, trial_seed(spec.master_seed, index))
+        for index, n in enumerate(n for n in sizes for _ in range(spec.trials))
+    ]
     if spec.jobs > 1 and len(tasks) > 1:
+        # map yields results in task order, whichever worker finishes first
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(pool.map(_run_one, tasks, chunksize=8))
-        outcomes.sort(key=lambda r: r[0])
     else:
         outcomes = [_run_one(t) for t in tasks]
-    rows = []
-    for task, (_, rounds, capped) in zip(tasks, outcomes):
-        index, family, n, kind_value, seed = task[:5]
-        rows.append(
-            TrialRow(
-                family=family,
-                n=n,
-                process=kind_value,
-                trial=index % spec.trials,
-                seed=seed,
-                rounds=rounds,
-                capped=capped,
-            )
+    return [
+        TrialRow(
+            family=spec.family,
+            n=n,
+            process=spec.kind.value,
+            trial=index % spec.trials,
+            seed=seed,
+            rounds=rounds,
+            capped=capped,
         )
-    return rows
+        for index, ((_, n, seed), (rounds, capped)) in enumerate(zip(tasks, outcomes))
+    ]
 
 
 def _quantile(sorted_vals: list[float], q: float) -> float:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DirectedGraph, UndirectedGraph, transitive_closure
+from .graph import DirectedGraph, IsolatedNodeError, UndirectedGraph, transitive_closure
 from .process import (
     ProcessKind,
     convergence_target,
@@ -31,7 +31,6 @@ __all__ = [
     "MISSING_EDGE_LIMIT",
     "OracleIntractableError",
     "StateSpace",
-    "TransitionMatrix",
     "choice_space_size",
     "single_round_distribution",
     "expected_rounds",
@@ -67,15 +66,10 @@ def choice_space_size(g, kind: ProcessKind) -> int:
     if kind is ProcessKind.TRIANGULATION:
         for u in range(g.n):
             size *= max(1, g.degree(u) ** 2)
-    elif kind is ProcessKind.TWOHOP_UNDIRECTED:
-        for u in range(g.n):
-            size *= max(1, sum(g.degree(v) for v in g.neighbors(u)))
     else:
+        successors = g.successors if kind.directed else g.neighbors
         for u in range(g.n):
-            walks = sum(
-                g.out_degree(v) if g.out_degree(v) > 0 else 1 for v in g.successors(u)
-            )
-            size *= max(1, walks)
+            size *= max(1, sum(len(successors(v)) or 1 for v in successors(u)))
     return size
 
 
@@ -96,25 +90,17 @@ def _node_outcomes(g, u: int, kind: ProcessKind, one):
                     put(None, p)
                 else:
                     put((min(v, w), max(v, w)), p)
-    elif kind is ProcessKind.TWOHOP_UNDIRECTED:
-        nbrs = g.neighbors(u)
-        d = len(nbrs)
-        for v in nbrs:
-            second = g.neighbors(v)
-            p = one / (d * len(second))
-            for w in second:
-                if w == u or g.has_edge(u, w):
-                    put(None, p)
-                else:
-                    put((min(u, w), max(u, w)), p)
     else:
-        nbrs = g.successors(u)
+        successors = g.successors if kind.directed else g.neighbors
+        nbrs = successors(u)
         d = len(nbrs)
         if d == 0:
+            if not kind.directed:
+                raise IsolatedNodeError(u)
             put(None, one)
             return outcomes
         for v in nbrs:
-            second = g.successors(v)
+            second = successors(v)
             if not second:
                 put(None, one / d)
                 continue
@@ -123,7 +109,7 @@ def _node_outcomes(g, u: int, kind: ProcessKind, one):
                 if w == u or g.has_edge(u, w):
                     put(None, p)
                 else:
-                    put((u, w), p)
+                    put((u, w) if kind.directed or u < w else (w, u), p)
     return outcomes
 
 
@@ -210,33 +196,6 @@ class StateSpace:
         return mask
 
 
-class TransitionMatrix:
-    """Row-stochastic single-round transition law over a StateSpace.
-
-    Rows are sparse maps ``mask -> {next_mask: prob}``; transitions only
-    ever move to supersets, so the matrix is upper-triangular under the
-    inclusion (and hence integer) order on masks.
-    """
-
-    def __init__(self, space: StateSpace, *, exact: bool | None = None):
-        self.space = space
-        self.rows: list[dict[int, object]] = []
-        full = space.num_states - 1
-        for mask in range(space.num_states):
-            if mask == full:
-                self.rows.append({full: 1})
-                continue
-            dist = single_round_distribution(space.graph(mask), space.kind, exact=exact)
-            row: dict[int, object] = {}
-            for edges, p in dist.items():
-                nxt = mask | space.edge_bits(edges)
-                row[nxt] = row.get(nxt, 0) + p
-            self.rows.append(row)
-
-    def row(self, mask: int) -> dict[int, object]:
-        return self.rows[mask]
-
-
 def expected_rounds(g, kind: ProcessKind, *, exact: bool | None = None):
     """Exact expected number of rounds to reach the convergence target.
 
@@ -279,24 +238,6 @@ def canonical_form(n: int, edges) -> tuple[int, tuple[Edge, ...]]:
     return (n, best)
 
 
-def _connected(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
-
-
 def connected_graphs_upto(max_n: int):
     """All connected graphs with 2..max_n nodes, one per isomorphism class,
     as (n, edge_tuple) pairs in deterministic order."""
@@ -306,7 +247,7 @@ def connected_graphs_upto(max_n: int):
         seen: set[tuple[int, tuple[Edge, ...]]] = set()
         for mask in range(1, 1 << len(pairs)):
             edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-            if not _connected(n, edges):
+            if not UndirectedGraph(n, edges).is_connected():
                 continue
             canon = canonical_form(n, edges)
             if canon in seen:
@@ -354,7 +295,7 @@ def nonmonotone_search(max_n: int, kind: ProcessKind) -> list[NonmonotonePair]:
         m = len(g_edges)
         for sub in range(1, (1 << m) - 1):
             h_edges = tuple(g_edges[i] for i in range(m) if sub >> i & 1)
-            if not _connected(n, h_edges):
+            if not UndirectedGraph(n, h_edges).is_connected():
                 continue
             e_h = expected_of(n, h_edges)
             if e_g > e_h:
@@ -396,16 +337,14 @@ def empirical_vs_exact(g, kind: ProcessKind, trials: int, seed: int) -> dict:
     for i in range(trials):
         gi = g.copy()
         rng = random.Random(trial_seed(seed, i))
-        if gi.edge_count == target:
-            counts[frozenset()] += 1
-            rounds_seen.append(0)
-            continue
+        first: frozenset[Edge] = frozenset()
         rounds = 0
         while gi.edge_count < target:
             outcome = step(gi, rng, round_index=rounds)
             if rounds == 0:
-                counts[frozenset(outcome.edges_added)] += 1
+                first = frozenset(outcome.edges_added)
             rounds += 1
+        counts[first] += 1
         rounds_seen.append(rounds)
 
     unexpected = set(counts) - set(dist)

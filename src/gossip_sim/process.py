@@ -9,6 +9,9 @@ Three processes are implemented:
 * directed two-hop walk -- the same walk on a digraph, adding a directed
   edge to the destination.
 
+The two walks share one kernel, ``twohop_round``; ``directed_twohop_round``
+names it for the directed process.
+
 All draws in a round are made against the start-of-round snapshot: queued
 edges are applied only after every node has taken its turn.  Each trial
 consumes one deterministic random stream; draws are consumed in ascending
@@ -98,24 +101,17 @@ class DegreeDoublingViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Which process to run, its seed, and the round cap.
-
-    ``snapshot`` is reserved: start-of-round draw semantics is the only
-    supported mode and the field must stay True.
-    """
+    """Which process to run, its seed, and the round cap."""
 
     kind: ProcessKind
     seed: int
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    snapshot: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.snapshot is not True:
-            raise ValueError("only snapshot semantics is supported")
 
 
 @dataclass
@@ -190,7 +186,7 @@ def _check_degree_doubling(g: UndirectedGraph, queued: list[tuple[int, int]]) ->
 
 
 def twohop_round(
-    g: UndirectedGraph,
+    g: UndirectedGraph | DirectedGraph,
     rng: random.Random,
     round_index: int = 0,
     draw_log: list[tuple[int, int, int]] | None = None,
@@ -198,9 +194,13 @@ def twohop_round(
     """One pull-discovery round: each node walks two hops and connects there.
 
     For each node u in ascending order, v is uniform on u's snapshot
-    neighbors and w uniform on v's snapshot neighbors; if w != u and
-    {u, w} is neither present nor queued, it is queued.
+    (out-)neighbors and w uniform on v's; if w != u and the edge from u to
+    w is neither present nor queued, it is queued.  On a digraph the edge
+    is ``(u, w)``, and a node without out-neighbors, or a first hop onto
+    one, skips its turn without consuming randomness; on an undirected
+    graph a node without neighbors raises ``IsolatedNodeError``.
     """
+    directed = isinstance(g, DirectedGraph)
     adj = g._adj
     adj_sets = g._adj_sets
     gb = rng.getrandbits
@@ -209,32 +209,37 @@ def twohop_round(
     for u in range(g.n):
         nbrs = adj[u]
         d = len(nbrs)
-        if d == 0:
+        if not d:
+            if directed:
+                continue
             raise IsolatedNodeError(u)
-        if d == 1:
-            v = nbrs[0]
-        else:
+        if d > 1:
             k = d.bit_length()
             r = gb(k)
             while r >= d:
                 r = gb(k)
             v = nbrs[r]
+        else:
+            v = nbrs[0]
         nbrs2 = adj[v]
         d2 = len(nbrs2)
-        if d2 == 1:
-            w = nbrs2[0]
-        else:
+        if not d2:
+            continue
+        if d2 > 1:
             k = d2.bit_length()
             r = gb(k)
             while r >= d2:
                 r = gb(k)
             w = nbrs2[r]
+        else:
+            w = nbrs2[0]
         if draw_log is not None:
             draw_log.append((u, v, w))
-        if w == u:
+        # undirected adjacency sets are symmetric, so this tests {u, w} too
+        if w == u or w in adj_sets[u]:
             continue
-        key = (u, w) if u < w else (w, u)
-        if key[1] in adj_sets[key[0]] or key in queued_set:
+        key = (u, w) if directed or u < w else (w, u)
+        if key in queued_set:
             continue
         queued_set.add(key)
         queued.append(key)
@@ -243,62 +248,12 @@ def twohop_round(
     return RoundOutcome(round_index, queued, g.edge_count)
 
 
-def directed_twohop_round(
-    g: DirectedGraph,
-    rng: random.Random,
-    round_index: int = 0,
-    draw_log: list[tuple[int, int, int]] | None = None,
-) -> RoundOutcome:
-    """One directed two-hop round.
-
-    Nodes without out-neighbors skip their turn; a first hop onto a node
-    with no out-neighbors is a no-op for this round.  Neither consumes
-    randomness.
-    """
-    out = g._out
-    out_sets = g._out_sets
-    gb = rng.getrandbits
-    queued: list[tuple[int, int]] = []
-    queued_set: set[tuple[int, int]] = set()
-    for u in range(g.n):
-        nbrs = out[u]
-        d = len(nbrs)
-        if d == 0:
-            continue
-        if d == 1:
-            v = nbrs[0]
-        else:
-            k = d.bit_length()
-            r = gb(k)
-            while r >= d:
-                r = gb(k)
-            v = nbrs[r]
-        nbrs2 = out[v]
-        d2 = len(nbrs2)
-        if d2 == 0:
-            continue
-        if d2 == 1:
-            w = nbrs2[0]
-        else:
-            k = d2.bit_length()
-            r = gb(k)
-            while r >= d2:
-                r = gb(k)
-            w = nbrs2[r]
-        if draw_log is not None:
-            draw_log.append((u, v, w))
-        if w == u:
-            continue
-        if w in out_sets[u] or (u, w) in queued_set:
-            continue
-        queued_set.add((u, w))
-        queued.append((u, w))
-    for a, b in queued:
-        g.add_edge(a, b)
-    return RoundOutcome(round_index, queued, g.edge_count)
+# its own module attribute, so that the directed kernel can be replaced alone
+directed_twohop_round = twohop_round
 
 
 def round_function(kind: ProcessKind):
+    # built per call, so that each kernel is looked up by name when it runs
     return {
         ProcessKind.TRIANGULATION: triangulation_round,
         ProcessKind.TWOHOP_UNDIRECTED: twohop_round,

@@ -15,7 +15,6 @@ from gossip_sim.graph import (
     is_strongly_connected,
     is_weakly_connected,
     parse_edge_list,
-    rand_index,
     read_edge_list,
     transitive_closure,
     write_edge_list,
@@ -26,6 +25,7 @@ from gossip_sim.generators import (
     path_graph,
     star_graph,
 )
+from gossip_sim.process import triangulation_round, twohop_round
 
 
 class TestAddEdge:
@@ -66,42 +66,54 @@ class TestAddEdge:
 
 
 class TestSampling:
-    def test_p3_center_is_unbiased(self):
-        g = path_graph(3)
-        rng = random.Random(12345)
-        n_draws = 10**6
-        zeros = sum(1 for _ in range(n_draws) if g.sample_neighbor(1, rng) == 0)
-        assert abs(zeros / n_draws - 0.5) <= 0.002
+    """Uniform neighbor sampling, read from the kernels' draw logs.
 
-    def test_star_center_hits_all_leaves_uniformly(self):
+    The triangulation kernel draws two neighbors per node; on a complete
+    graph no round adds an edge, so every round samples the same snapshot.
+    """
+
+    def test_k3_draws_are_unbiased(self):
+        # each node of K3 has the two neighbors of the center of P3
+        g = complete_graph(3)
+        rng = random.Random(12345)
+        log: list[tuple[int, int, int]] = []
+        for _ in range(10**6 // 6):
+            triangulation_round(g, rng, draw_log=log)
+        lowest = [min(g.neighbors(u)) for u in range(3)]
+        hits = sum((v == lowest[u]) + (w == lowest[u]) for u, v, w in log)
+        assert abs(hits / (2 * len(log)) - 0.5) <= 0.002
+
+    def test_k7_draws_hit_all_neighbors_uniformly(self):
         k = 6
-        g = star_graph(k + 1)
+        g = complete_graph(k + 1)
         rng = random.Random(99)
-        n_draws = 200_000
-        counts = [0] * (k + 1)
-        for _ in range(n_draws):
-            counts[g.sample_neighbor(0, rng)] += 1
+        log: list[tuple[int, int, int]] = []
+        for _ in range(200_000 // (2 * (k + 1))):
+            triangulation_round(g, rng, draw_log=log)
+        n_draws = 2 * len(log)
+        counts = [0] * k
+        for u, v, w in log:
+            nbrs = g.neighbors(u)
+            counts[nbrs.index(v)] += 1
+            counts[nbrs.index(w)] += 1
         p = 1 / k
         sigma = math.sqrt(p * (1 - p) / n_draws)
-        for leaf in range(1, k + 1):
-            assert abs(counts[leaf] / n_draws - p) <= 3 * sigma
+        for rank in range(k):
+            assert abs(counts[rank] / n_draws - p) <= 3 * sigma
 
     def test_degree_one_returns_unique_neighbor(self):
-        g = path_graph(3)
         rng = random.Random(0)
-        assert all(g.sample_neighbor(0, rng) == 1 for _ in range(20))
+        for _ in range(20):
+            log: list[tuple[int, int, int]] = []
+            triangulation_round(path_graph(3), rng, draw_log=log)
+            assert log[0] == (0, 1, 1)
 
     def test_isolated_node_raises(self):
-        g = UndirectedGraph(3, [(0, 1)])
-        with pytest.raises(IsolatedNodeError) as err:
-            g.sample_neighbor(2, random.Random(0))
-        assert err.value.node == 2
-
-    def test_rand_index_covers_range(self):
-        rng = random.Random(7)
-        seen = {rand_index(rng, 3) for _ in range(200)}
-        assert seen == {0, 1, 2}
-        assert rand_index(rng, 1) == 0
+        for kernel in (triangulation_round, twohop_round):
+            g = UndirectedGraph(3, [(0, 1)])
+            with pytest.raises(IsolatedNodeError) as err:
+                kernel(g, random.Random(0))
+            assert err.value.node == 2
 
 
 class TestKhop:
@@ -231,6 +243,12 @@ class TestEdgeListFormat:
             "3 2 u\n0 1\n0 1",
             "3 1 u\nzero one",
             "a b u\n0 1",
+            "3 2 u\n0 1\n1 1",
+            "3 2 u\n0 1\n1 5",
+            "3 2 u\n0 1\nzero one",
+            "100 1 u\n0 1",
+            "1000000000 0 u",
+            "1000000000 1 d\n0 1",
         ],
     )
     def test_malformed_inputs_rejected(self, text):

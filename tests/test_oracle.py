@@ -10,11 +10,10 @@ from gossip_sim.generators import (
     path_graph,
     star_graph,
 )
-from gossip_sim.graph import DirectedGraph, UndirectedGraph
+from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph
 from gossip_sim.oracle import (
     OracleIntractableError,
     StateSpace,
-    TransitionMatrix,
     canonical_form,
     choice_space_size,
     connected_graphs_upto,
@@ -55,6 +54,11 @@ class TestSingleRoundDistribution:
         dist = single_round_distribution(star_graph(4), TRI)
         assert dist[frozenset()] == Fraction(1, 3)
         assert sum(p for k, p in dist.items() if k) == Fraction(2, 3)
+
+    def test_isolated_undirected_node_raises_like_the_kernel(self):
+        with pytest.raises(IsolatedNodeError) as err:
+            single_round_distribution(UndirectedGraph(3, [(0, 1)]), HOP)
+        assert err.value.node == 2
 
     def test_weak_lb_first_edge_marginal(self):
         g = directed_weak_lb(8)
@@ -127,18 +131,22 @@ class TestStateSpaceAndMatrix:
         full = space.num_states - 1
         assert space.graph(full).is_complete()
 
+    # the transition law's row at a state is the single-round distribution
+    # of that state's graph, as expected_rounds consumes it
+
     def test_rows_are_stochastic_and_upper_triangular(self):
         space = StateSpace.build(cycle_graph(4), TRI)
-        matrix = TransitionMatrix(space)
-        for mask, row in enumerate(matrix.rows):
+        for mask in range(space.num_states):
+            row = single_round_distribution(space.graph(mask), TRI)
             assert sum(row.values()) == 1
-            assert all(nxt >= mask and nxt | mask == nxt for nxt in row)
+            assert all(space.edge_bits(edges) & mask == 0 for edges in row)
 
     def test_float_rows_sum_within_tolerance(self):
         space = StateSpace.build(cycle_graph(4), HOP)
-        matrix = TransitionMatrix(space, exact=False)
-        for row in matrix.rows:
+        for mask in range(space.num_states):
+            row = single_round_distribution(space.graph(mask), HOP, exact=False)
             assert abs(sum(row.values()) - 1.0) <= 1e-12
+            assert all(space.edge_bits(edges) & mask == 0 for edges in row)
 
 
 class TestCanonicalForms:
