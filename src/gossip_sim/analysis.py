@@ -1,12 +1,12 @@
 """Instrumentation for the discovery processes: tie classes, per-round
-traces, chain-cut tracking, and the span-probability recurrence used to
-bound edge growth along the strong lower-bound chain.
+traces, the smallest untouched chain cut, and the span-probability
+recurrence used to bound edge growth along the strong lower-bound chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .generators import directed_strong_lb
@@ -20,7 +20,6 @@ __all__ = [
     "tie_class",
     "RoundTrace",
     "TraceCollector",
-    "ChainCutTracker",
     "smallest_untouched_cut",
     "PhTable",
     "ph_constants_ok",
@@ -70,63 +69,24 @@ class RoundTrace:
 
     ``min_degree`` is the minimum (out-)degree at the start of the round;
     ``missing_edges`` counts edges still absent versus the convergence
-    target.  The two optional fields are filled only when their tracking
-    was enabled on the collector.
+    target.
     """
 
     round: int
     min_degree: int
     missing_edges: int
     edges_added: int
-    smallest_untouched_cut: int | None = None
-    strong_tie_count: int | None = None
 
 
-TRACE_CSV_HEADER = (
-    "round,min_degree,missing_edges,edges_added,smallest_untouched_cut,strong_tie_count"
-)
+TRACE_CSV_HEADER = "round,min_degree,missing_edges,edges_added"
 
 
 def traces_to_csv(traces) -> str:
-    """Serialize traces to CSV; disabled optional fields become empty."""
+    """Serialize traces to CSV, one line per round."""
     lines = [TRACE_CSV_HEADER]
     for t in traces:
-        cut = "" if t.smallest_untouched_cut is None else str(t.smallest_untouched_cut)
-        ties = "" if t.strong_tie_count is None else str(t.strong_tie_count)
-        lines.append(
-            f"{t.round},{t.min_degree},{t.missing_edges},{t.edges_added},{cut},{ties}"
-        )
+        lines.append(f"{t.round},{t.min_degree},{t.missing_edges},{t.edges_added}")
     return "\n".join(lines) + "\n"
-
-
-class ChainCutTracker:
-    """Incrementally tracks the smallest untouched chain cut.
-
-    Edge insertions update a difference array in O(1); queries rescan the
-    coverage prefix in O(n) instead of re-walking the whole edge set.
-    """
-
-    def __init__(self, g: DirectedGraph, chain_start: int = 1):
-        self._g = g
-        self._chain_start = max(1, chain_start)
-        self._diff = [0] * (g.n + 2)
-        for a, b in g.edges():
-            self.add_edge(a, b)
-
-    def add_edge(self, a: int, b: int) -> None:
-        i, j = a + 1, b + 1
-        if i < j:
-            self._diff[i] += 1
-            self._diff[j] -= 1
-
-    def smallest_untouched(self) -> int | None:
-        g = self._g
-        run = 0
-        for x in range(1, g.n):
-            run += self._diff[x]
-            if x >= self._chain_start and run == 1 and g.has_edge(x - 1, x):
-                return x
-        return None
 
 
 def smallest_untouched_cut(g: DirectedGraph, chain_start: int = 1) -> int | None:
@@ -137,75 +97,36 @@ def smallest_untouched_cut(g: DirectedGraph, chain_start: int = 1) -> int | None
     only edges directed low-to-high count as crossings.  On a fresh
     strong lower-bound instance the answer is ``n/2``.
     """
-    return ChainCutTracker(g, chain_start).smallest_untouched()
+    # diff marks where each forward edge's span starts and ends, so the
+    # running sum at x counts the forward edges crossing cut x
+    diff = [0] * (g.n + 1)
+    for a, b in g.edges():
+        if a < b:
+            diff[a + 1] += 1
+            diff[b + 1] -= 1
+    run = 0
+    for x in range(1, g.n):
+        run += diff[x]
+        if x >= chain_start and run == 1 and g.has_edge(x - 1, x):
+            return x
+    return None
 
 
 class TraceCollector:
-    """Builds one RoundTrace per executed round of ``run_to_convergence``.
+    """Builds one RoundTrace per executed round of ``run_to_convergence``,
+    at O(n) per round for the minimum (out-)degree."""
 
-    Counter fields are O(1) amortized per round.  The optional metrics
-    each cost a traversal and are off by default:
-
-    * ``track_cut`` -- smallest untouched chain cut (directed chain
-      instances only);
-    * ``tie_focus`` -- a node u; the trace then counts how many of u's
-      current neighbors are strongly tied to u's two-hop neighborhood.
-      The epoch baseline delta0 is captured at the first observed round
-      and exposed as ``tie_baseline``.
-    """
-
-    def __init__(
-        self,
-        *,
-        track_cut: bool = False,
-        chain_start: int = 1,
-        tie_focus: int | None = None,
-    ):
+    def __init__(self):
         self.traces: list[RoundTrace] = []
-        self._track_cut = track_cut
-        self._chain_start = chain_start
-        self._tie_focus = tie_focus
-        self.tie_baseline: int | None = None
-        self._cut_tracker: ChainCutTracker | None = None
-        self._pending: RoundTrace | None = None
+        self._pending: tuple[int, int, int] | None = None
 
     def begin_round(self, g, round_index: int, missing_edges: int) -> None:
-        if isinstance(g, DirectedGraph):
-            min_degree = g.min_out_degree()
-        else:
-            min_degree = g.min_degree()
-        cut = None
-        if self._track_cut:
-            if self._cut_tracker is None:
-                self._cut_tracker = ChainCutTracker(g, self._chain_start)
-            cut = self._cut_tracker.smallest_untouched()
-        ties = None
-        if self._tie_focus is not None:
-            if self.tie_baseline is None:
-                self.tie_baseline = min_degree
-            u = self._tie_focus
-            two_hop = g.khop_neighborhood(u, 2)
-            ties = sum(
-                1
-                for v in g.neighbors(u)
-                if tie_class(g, v, two_hop, self.tie_baseline) is TieClass.STRONG
-            )
-        self._pending = RoundTrace(
-            round=round_index,
-            min_degree=min_degree,
-            missing_edges=missing_edges,
-            edges_added=0,
-            smallest_untouched_cut=cut,
-            strong_tie_count=ties,
-        )
+        self._pending = (round_index, g.min_degree(), missing_edges)
 
     def end_round(self, outcome: RoundOutcome) -> None:
-        assert self._pending is not None and self._pending.round == outcome.round_index
-        self.traces.append(replace(self._pending, edges_added=len(outcome.edges_added)))
+        assert self._pending is not None and self._pending[0] == outcome.round_index
+        self.traces.append(RoundTrace(*self._pending, len(outcome.edges_added)))
         self._pending = None
-        if self._cut_tracker is not None:
-            for a, b in outcome.edges_added:
-                self._cut_tracker.add_edge(a, b)
 
     def __iter__(self):
         return iter(self.traces)
@@ -320,12 +241,7 @@ def ph_bound_check(table: PhTable) -> bool:
 
 
 def chain_span_presence(
-    n: int,
-    rounds: int,
-    trials: int,
-    master_seed: int,
-    spans: tuple[int, ...] = (2, 3),
-    chain_only: bool = True,
+    n: int, rounds: int, trials: int, master_seed: int
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """Empirical presence frequency of span-h chain edges on the evolved
     strong lower-bound instance.
@@ -336,20 +252,17 @@ def chain_span_presence(
     with the standard error computed across per-trial means, which stays
     valid under within-trial correlation.
 
-    With ``chain_only`` (the default) only positions ``i >= n/2`` are
-    pooled.  Those are the positions the span recurrence actually
-    majorizes: every node there has out-degree at least n/2 and every
-    initial forward edge spans one hop, so composite walks must wait for
-    process-built legs.  Positions just left of the clique boundary
-    violate both premises (out-degree n/2 - 1, and free two-hop routes
-    such as clique edge plus chain edge exist at round 0), and their
-    edges demonstrably appear faster than the recurrence tracks.
+    Spans are 2 and 3, and only positions ``i >= n/2`` are pooled.  Those
+    are the positions the span recurrence actually majorizes: every node
+    there has out-degree at least n/2 and every initial forward edge
+    spans one hop, so composite walks must wait for process-built legs.
+    Positions just left of the clique boundary violate both premises
+    (out-degree n/2 - 1, and free two-hop routes such as clique edge plus
+    chain edge exist at round 0), and their edges demonstrably appear
+    faster than the recurrence tracks.
     """
-    half = n // 2
-    lo = half if chain_only else 1
-    positions = {
-        h: [i for i in range(lo, n - h + 1) if i + h > half] for h in spans
-    }
+    spans = (2, 3)
+    positions = {h: range(n // 2, n - h + 1) for h in spans}
     per_trial: dict[tuple[int, int], list[float]] = {
         (h, t): [] for h in spans for t in range(rounds + 1)
     }

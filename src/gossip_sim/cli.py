@@ -4,8 +4,9 @@ Subcommands: ``gen`` writes a graph file, ``run`` executes one seeded
 process run, ``sweep`` runs a seeded trial grid into CSV, and ``analyze``
 post-processes sweep CSVs or checks the span-probability bound.
 
-Exit codes: 0 success, 1 failed analysis check, 2 bad arguments or
-constraint violations, 3 sweep finished but some trial hit the round cap.
+Exit codes: 0 success, 1 failed analysis check, 2 bad arguments,
+constraint violations or file errors, 3 sweep finished but some trial hit
+the round cap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from . import analysis, harness
 from .generators import FAMILIES, generate
-from .graph import GraphError, read_edge_list, write_edge_list
+from .graph import read_edge_list, write_edge_list
 from .process import (
     DEFAULT_MAX_ROUNDS,
     ProcessConfig,
@@ -95,30 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        g = generate(args.family, args.n, args.seed, p=args.p, clique_frac=args.clique_frac)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = generate(args.family, args.n, args.seed, p=args.p, clique_frac=args.clique_frac)
     write_edge_list(g, args.out)
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        g = read_edge_list(args.graph)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_edge_list(args.graph)
     collector = analysis.TraceCollector() if args.trace else None
-    try:
-        config = ProcessConfig(
-            kind=ProcessKind(args.process), seed=args.seed, max_rounds=args.max_rounds
-        )
-        rounds, capped = run_to_convergence(g, config, trace_sink=collector)
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ProcessConfig(
+        kind=ProcessKind(args.process), seed=args.seed, max_rounds=args.max_rounds
+    )
+    rounds, capped = run_to_convergence(g, config, trace_sink=collector)
     if collector is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(analysis.traces_to_csv(collector.traces))
@@ -128,23 +117,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-        spec = harness.ExperimentSpec(
-            family=args.family,
-            kind=ProcessKind(args.process),
-            sizes=sizes,
-            trials=args.trials,
-            master_seed=args.seed,
-            max_rounds=args.max_rounds,
-            p=args.p,
-            clique_frac=args.clique_frac,
-            jobs=args.jobs,
-        )
-        rows = harness.run_sweep(spec)
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    spec = harness.ExperimentSpec(
+        family=args.family,
+        kind=ProcessKind(args.process),
+        sizes=sizes,
+        trials=args.trials,
+        master_seed=args.seed,
+        max_rounds=args.max_rounds,
+        p=args.p,
+        clique_frac=args.clique_frac,
+        jobs=args.jobs,
+    )
+    rows = harness.run_sweep(spec)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(harness.rows_to_csv(rows))
     aggregates = harness.aggregate_rows(rows)
@@ -155,8 +140,7 @@ def _cmd_sweep(args) -> int:
         with open(args.out, "r", encoding="utf-8") as fh:
             reread = harness.rows_from_csv(fh.read())
         if harness.aggregate_rows(reread) != aggregates:
-            print("error: aggregate self-check failed", file=sys.stderr)
-            return 2
+            raise ValueError("aggregate self-check failed")
     if any(row.capped for row in rows):
         print("warning: some trials hit the round cap", file=sys.stderr)
         return 3
@@ -164,41 +148,39 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze_scaling(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            rows = harness.rows_from_csv(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.input, "r", encoding="utf-8") as fh:
+        rows = harness.rows_from_csv(fh.read())
     print(json.dumps(harness.scaling_report(rows), sort_keys=True))
     return 0
 
 
 def _cmd_analyze_ph_bound(args) -> int:
-    try:
-        t_max = math.floor(args.eps * args.n * args.n)
-        table = analysis.ph_recurrence(
-            args.n, t_max, args.hmax, alpha=args.alpha, eps=args.eps
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t_max = math.floor(args.eps * args.n * args.n)
+    table = analysis.ph_recurrence(
+        args.n, t_max, args.hmax, alpha=args.alpha, eps=args.eps
+    )
     ok = analysis.ph_bound_check(table)
     print("pass" if ok else "fail")
     return 0 if ok else 1
 
 
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "run": _cmd_run,
+    "sweep": _cmd_sweep,
+    "scaling": _cmd_analyze_scaling,
+    "ph-bound": _cmd_analyze_ph_bound,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.analyze_command == "scaling":
-        return _cmd_analyze_scaling(args)
-    return _cmd_analyze_ph_bound(args)
+    # GraphError is a ValueError; bad input and unwritable paths all exit 2
+    try:
+        return _COMMANDS[getattr(args, "analyze_command", args.command)](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -79,6 +79,18 @@ class _Graph:
         self._check_node(v)
         return v in self._adj_sets[u]
 
+    def degree(self, u: int) -> int:
+        self._check_node(u)
+        return len(self._adj[u])
+
+    def neighbors(self, u: int) -> list[int]:
+        """(Out-)neighbors of ``u`` in insertion order (copy; safe to mutate)."""
+        self._check_node(u)
+        return list(self._adj[u])
+
+    def min_degree(self) -> int:
+        return min(len(a) for a in self._adj)
+
     def copy(self):
         g = type(self).__new__(type(self))
         g.n = self.n
@@ -129,18 +141,6 @@ class UndirectedGraph(_Graph):
         self._adj_sets[v].add(u)
         self.edge_count += 1
         return True
-
-    def degree(self, u: int) -> int:
-        self._check_node(u)
-        return len(self._adj[u])
-
-    def neighbors(self, u: int) -> list[int]:
-        """Neighbors of ``u`` in insertion order (copy; safe to mutate)."""
-        self._check_node(u)
-        return list(self._adj[u])
-
-    def min_degree(self) -> int:
-        return min(len(a) for a in self._adj)
 
     def is_complete(self) -> bool:
         return self.missing_count == 0
@@ -201,17 +201,6 @@ class DirectedGraph(_Graph):
         self._adj_sets[u].add(v)
         self.edge_count += 1
         return True
-
-    def out_degree(self, u: int) -> int:
-        self._check_node(u)
-        return len(self._adj[u])
-
-    def successors(self, u: int) -> list[int]:
-        self._check_node(u)
-        return list(self._adj[u])
-
-    def min_out_degree(self) -> int:
-        return min(len(a) for a in self._adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs in sorted order."""

@@ -128,19 +128,6 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
     ]
 
 
-def _quantile(sorted_vals: list[float], q: float) -> float:
-    # linear interpolation between closest ranks (numpy's default scheme)
-    if not sorted_vals:
-        raise ValueError("empty sample")
-    if len(sorted_vals) == 1:
-        return float(sorted_vals[0])
-    pos = q * (len(sorted_vals) - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    frac = pos - lo
-    return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
-
-
 def aggregate_rows(rows: list[TrialRow]) -> list[AggregateRow]:
     """Per-(family, process, n) statistics, recomputable from the rows."""
     groups: dict[tuple[str, str, int], list[TrialRow]] = {}
@@ -150,6 +137,12 @@ def aggregate_rows(rows: list[TrialRow]) -> list[AggregateRow]:
     for (family, process, n), members in sorted(groups.items()):
         values = sorted(float(r.rounds) for r in members)
         med = statistics.median(values)
+        # linear interpolation between closest ranks (numpy's default
+        # scheme); quantiles() refuses a single value
+        if len(values) > 1:
+            p05, *_, p95 = statistics.quantiles(values, n=20, method="inclusive")
+        else:
+            p05 = p95 = values[0]
         log_n = math.log(n)
         out.append(
             AggregateRow(
@@ -159,8 +152,8 @@ def aggregate_rows(rows: list[TrialRow]) -> list[AggregateRow]:
                 trials=len(values),
                 mean=statistics.fmean(values),
                 median=med,
-                p05=_quantile(values, 0.05),
-                p95=_quantile(values, 0.95),
+                p05=p05,
+                p95=p95,
                 per_n_log_n=med / (n * log_n),
                 per_n_log2_n=med / (n * log_n * log_n),
                 per_n_sq=med / (n * n),

@@ -67,9 +67,8 @@ def choice_space_size(g, kind: ProcessKind) -> int:
         for u in range(g.n):
             size *= max(1, g.degree(u) ** 2)
     else:
-        successors = g.successors if kind.directed else g.neighbors
         for u in range(g.n):
-            size *= max(1, sum(len(successors(v)) or 1 for v in successors(u)))
+            size *= max(1, sum(g.degree(v) or 1 for v in g.neighbors(u)))
     return size
 
 
@@ -80,9 +79,14 @@ def _node_outcomes(g, u: int, kind: ProcessKind, one):
     def put(edge: Edge | None, p) -> None:
         outcomes[edge] = outcomes.get(edge, 0) + p
 
-    if kind is ProcessKind.TRIANGULATION:
-        nbrs = g.neighbors(u)
-        d = len(nbrs)
+    nbrs = g.neighbors(u)
+    d = len(nbrs)
+    if d == 0:
+        # like the kernels: a sink skips its draw, an isolated node is an error
+        if not kind.directed:
+            raise IsolatedNodeError(u)
+        put(None, one)
+    elif kind is ProcessKind.TRIANGULATION:
         p = one / (d * d)
         for v in nbrs:
             for w in nbrs:
@@ -91,16 +95,8 @@ def _node_outcomes(g, u: int, kind: ProcessKind, one):
                 else:
                     put((min(v, w), max(v, w)), p)
     else:
-        successors = g.successors if kind.directed else g.neighbors
-        nbrs = successors(u)
-        d = len(nbrs)
-        if d == 0:
-            if not kind.directed:
-                raise IsolatedNodeError(u)
-            put(None, one)
-            return outcomes
         for v in nbrs:
-            second = successors(v)
+            second = g.neighbors(v)
             if not second:
                 put(None, one / d)
                 continue

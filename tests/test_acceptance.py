@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from gossip_sim.analysis import (
-    TraceCollector,
     chain_span_presence,
     ph_bound_check,
     ph_recurrence,
+    smallest_untouched_cut,
 )
 from gossip_sim.generators import (
     cycle_graph,
@@ -339,12 +339,11 @@ def test_criterion_08_directed_strong_lower_bound():
         cuts_ok = True
         for trial in range(50):
             g = directed_strong_lb(n)
-            collector = TraceCollector(track_cut=True, chain_start=n // 2)
+            cuts_ok &= smallest_untouched_cut(g, n // 2) == n // 2
             config = ProcessConfig(kind=DHOP, seed=trial_seed(808 + n, trial))
-            r, capped = run_to_convergence(g, config, trace_sink=collector)
+            r, capped = run_to_convergence(g, config)
             assert not capped
             rounds.append(r)
-            cuts_ok &= collector.traces[0].smallest_untouched_cut == n // 2
         med = statistics.median(rounds)
         ok &= med >= 0.05 * n * n and cuts_ok
         details.append(f"n={n} median={med} (>= {0.05 * n * n}), cut starts at {n // 2}: {cuts_ok}")

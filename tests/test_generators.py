@@ -87,7 +87,7 @@ class TestDirectedWeakLB:
     def test_n8_structure(self):
         g = directed_weak_lb(8)
         assert g.edge_count == 12
-        assert sorted(g.successors(0)) == [1, 6, 7]
+        assert sorted(g.neighbors(0)) == [1, 6, 7]
         closure = transitive_closure(g)
         missing = [e for e in closure.edges() if not g.has_edge(*e)]
         assert missing == [(0, 2), (3, 5)]
@@ -111,8 +111,8 @@ class TestDirectedWeakLB:
 
     def test_hubs_have_no_out_edges(self):
         g = directed_weak_lb(8)
-        assert g.out_degree(6) == 0
-        assert g.out_degree(7) == 0
+        assert g.degree(6) == 0
+        assert g.degree(7) == 0
 
     def test_divisibility_constraint(self):
         with pytest.raises(FamilyConstraintError):
@@ -128,7 +128,7 @@ class TestDirectedStrongLB:
         # 1-indexed (1,3), (1,4), (2,4)
         assert added == [(0, 2), (0, 3), (1, 3)]
         # 1-indexed node 3 points at 4, 1, 2
-        assert sorted(g.successors(2)) == [0, 1, 3]
+        assert sorted(g.neighbors(2)) == [0, 1, 3]
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_strongly_connected(self, n):
@@ -137,8 +137,8 @@ class TestDirectedStrongLB:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_min_out_degree_is_half_minus_one(self, n):
         g = directed_strong_lb(n)
-        assert g.min_out_degree() == n // 2 - 1
-        assert g.out_degree(0) == n // 2 - 1
+        assert g.min_degree() == n // 2 - 1
+        assert g.degree(0) == n // 2 - 1
 
     def test_constraints(self):
         with pytest.raises(FamilyConstraintError):

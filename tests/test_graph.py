@@ -179,7 +179,10 @@ class TestDirected:
         assert not g.add_edge(0, 1)
         assert g.has_edge(0, 1)
         assert not g.has_edge(1, 0)
-        assert g.out_degree(0) == 1
+        assert g.degree(0) == 1
+        # on a digraph the degree queries count out-neighbors only
+        assert g.neighbors(0) == [1] and g.neighbors(1) == []
+        assert g.min_degree() == 0
         with pytest.raises(SelfLoopError):
             g.add_edge(2, 2)
 

@@ -80,11 +80,21 @@ class TestAggregation:
         assert agg.per_n_sq == pytest.approx(0.5)
 
     def test_quantiles(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert harness._quantile(values, 0.0) == 1.0
-        assert harness._quantile(values, 1.0) == 5.0
-        assert harness._quantile(values, 0.5) == 3.0
-        assert harness._quantile(values, 0.25) == 2.0
+        def p05_p95(rounds):
+            rows = [
+                harness.TrialRow("path", 8, "tri", t, 0, r, False)
+                for t, r in enumerate(rounds)
+            ]
+            (agg,) = harness.aggregate_rows(rows)
+            return agg.p05, agg.p95
+
+        # one trial is every quantile of itself
+        assert p05_p95([7]) == (7.0, 7.0)
+        # 21 evenly spaced values put p05 and p95 on the 2nd and 20th
+        assert p05_p95(range(100, 310, 10)) == (110.0, 290.0)
+        # interpolating large round counts leaves no float noise to print
+        p05, p95 = p05_p95(range(4200126, 4200266, 7))
+        assert (repr(p05), repr(p95)) == ("4200132.65", "4200252.35")
 
     def test_csv_round_trip(self):
         rows = harness.run_sweep(make_spec(trials=3))
@@ -138,6 +148,11 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    def test_gen_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.el"
+        assert cli.main(["gen", "--family", "cycle", "--n", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_run_complete_graph(self, tmp_path, capsys):
         from gossip_sim.generators import complete_graph
 
@@ -181,7 +196,7 @@ class TestCli:
         ]
         assert cli.main(argv) == 0
         lines = trace.read_text().splitlines()
-        assert lines[0].startswith("round,min_degree")
+        assert lines[0] == "round,min_degree,missing_edges,edges_added"
         assert len(lines) >= 2
 
     def test_sweep_writes_deterministic_csv(self, tmp_path, capsys):

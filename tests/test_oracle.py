@@ -55,9 +55,10 @@ class TestSingleRoundDistribution:
         assert dist[frozenset()] == Fraction(1, 3)
         assert sum(p for k, p in dist.items() if k) == Fraction(2, 3)
 
-    def test_isolated_undirected_node_raises_like_the_kernel(self):
+    @pytest.mark.parametrize("kind", [TRI, HOP], ids=["tri", "twohop"])
+    def test_isolated_undirected_node_raises_like_the_kernel(self, kind):
         with pytest.raises(IsolatedNodeError) as err:
-            single_round_distribution(UndirectedGraph(3, [(0, 1)]), HOP)
+            single_round_distribution(UndirectedGraph(3, [(0, 1)]), kind)
         assert err.value.node == 2
 
     def test_weak_lb_first_edge_marginal(self):
