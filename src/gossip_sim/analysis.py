@@ -259,8 +259,11 @@ def chain_span_presence(
     Positions just left of the clique boundary violate both premises
     (out-degree n/2 - 1, and free two-hop routes such as clique edge plus
     chain edge exist at round 0), and their edges demonstrably appear
-    faster than the recurrence tracks.
+    faster than the recurrence tracks.  Needs ``n >= 6``, so that span 3
+    has a pooled position, and ``trials >= 2`` for the standard error.
     """
+    if n < 6 or trials < 2:
+        raise ValueError(f"need n >= 6 and trials >= 2, got n={n}, trials={trials}")
     spans = (2, 3)
     positions = {h: range(n // 2, n - h + 1) for h in spans}
     per_trial: dict[tuple[int, int], list[float]] = {

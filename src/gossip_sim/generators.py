@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from .graph import DirectedGraph, GraphError, UndirectedGraph
+from .process import trial_seed
 
 __all__ = [
     "FAMILIES",
@@ -69,12 +70,14 @@ def random_connected_graph(n: int, p: float, seed: int) -> UndirectedGraph:
     """Uniform random spanning tree plus each non-tree pair with probability p.
 
     The tree comes from a uniform random Pruefer sequence, so the result
-    is connected by construction and deterministic given the seed.
+    is connected by construction and deterministic given the seed.  The
+    draws come from a stream split off the seed, so a process run seeded
+    with the same value draws independently of the graph.
     """
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise FamilyConstraintError(f"random family needs p in [0, 1], got {p}")
-    rng = random.Random(seed)
+    rng = random.Random(trial_seed(seed, 0))
     g = UndirectedGraph(n)
     if n == 2:
         g.add_edge(0, 1)

@@ -100,8 +100,9 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
     """Execute every (size, trial) cell; rows come back in (n, trial) order.
 
     The per-trial seed is ``trial_seed(master_seed, row_index)`` where
-    ``row_index`` enumerates (size, trial) cells over ascending sizes;
-    generator randomness (the random family) reuses the same seed.
+    ``row_index`` enumerates (size, trial) cells over ascending sizes.
+    The random family builds its graph from a stream split off that seed,
+    independent of the process's draws.
     """
     sizes = sorted(spec.sizes)
     tasks = [
@@ -230,7 +231,9 @@ def scaling_report(rows: list[TrialRow]) -> dict:
 
     The three normalizations target the known growth orders: n log n
     (undirected lower bound), n log^2 n (undirected upper bound), and
-    n^2 (directed bounds).
+    n^2 (directed bounds).  A verdict describes the sample and tests no
+    bound: at these sizes a Theta(n log n) process can show a falling
+    n log n ratio, as the coupon collector does.
     """
     aggs = aggregate_rows(rows)
     report: dict = {}

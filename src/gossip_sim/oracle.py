@@ -1,11 +1,10 @@
 """Exact ground truth for tiny instances.
 
-Everything here works by exhaustive enumeration: the exact distribution
-of edges added in a single round, expected convergence times via the
-absorbing Markov chain over edge-supersets, and an exhaustive search for
-graph/subgraph pairs where more initial edges mean slower convergence.
-
-Arithmetic is exact (fractions) up to 4 nodes and floating point beyond.
+Everything here works by exhaustive enumeration in exact fractions: the
+distribution of edges added in a single round, expected convergence times
+via the absorbing Markov chain over edge-supersets, and an exhaustive
+search for graph/subgraph pairs where more initial edges mean slower
+convergence.
 """
 
 from __future__ import annotations
@@ -18,9 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DirectedGraph, IsolatedNodeError, UndirectedGraph, transitive_closure
+from .graph import IsolatedNodeError, UndirectedGraph, transitive_closure
 from .process import (
+    DisconnectedGraphError,
     ProcessKind,
+    check_graph_type,
     convergence_target,
     round_function,
     trial_seed,
@@ -30,7 +31,6 @@ __all__ = [
     "CHOICE_SPACE_LIMIT",
     "MISSING_EDGE_LIMIT",
     "OracleIntractableError",
-    "StateSpace",
     "choice_space_size",
     "single_round_distribution",
     "expected_rounds",
@@ -72,11 +72,11 @@ def choice_space_size(g, kind: ProcessKind) -> int:
     return size
 
 
-def _node_outcomes(g, u: int, kind: ProcessKind, one):
+def _node_outcomes(g, u: int, kind: ProcessKind) -> dict[Edge | None, Fraction]:
     """Map from edge-or-None to the probability node u produces it."""
-    outcomes: dict[Edge | None, object] = {}
+    outcomes: dict[Edge | None, Fraction] = {}
 
-    def put(edge: Edge | None, p) -> None:
+    def put(edge: Edge | None, p: Fraction) -> None:
         outcomes[edge] = outcomes.get(edge, 0) + p
 
     nbrs = g.neighbors(u)
@@ -85,9 +85,9 @@ def _node_outcomes(g, u: int, kind: ProcessKind, one):
         # like the kernels: a sink skips its draw, an isolated node is an error
         if not kind.directed:
             raise IsolatedNodeError(u)
-        put(None, one)
+        put(None, Fraction(1))
     elif kind is ProcessKind.TRIANGULATION:
-        p = one / (d * d)
+        p = Fraction(1, d * d)
         for v in nbrs:
             for w in nbrs:
                 if v == w or g.has_edge(v, w):
@@ -98,9 +98,9 @@ def _node_outcomes(g, u: int, kind: ProcessKind, one):
         for v in nbrs:
             second = g.neighbors(v)
             if not second:
-                put(None, one / d)
+                put(None, Fraction(1, d))
                 continue
-            p = one / (d * len(second))
+            p = Fraction(1, d * len(second))
             for w in second:
                 if w == u or g.has_edge(u, w):
                     put(None, p)
@@ -109,149 +109,104 @@ def _node_outcomes(g, u: int, kind: ProcessKind, one):
     return outcomes
 
 
-def single_round_distribution(
-    g, kind: ProcessKind, *, exact: bool | None = None
-) -> dict[frozenset[Edge], object]:
+def single_round_distribution(g, kind: ProcessKind) -> dict[frozenset[Edge], Fraction]:
     """Exact distribution of the set of edges one round adds.
 
     Enumerates all joint per-node choices under snapshot semantics; the
-    probabilities sum to 1 (exactly with fractions, within 1e-12 with
-    floats).  Refuses when the raw choice space exceeds
-    CHOICE_SPACE_LIMIT.
+    probabilities sum to exactly 1.  Refuses a graph of the wrong type for
+    the process, and a raw choice space beyond CHOICE_SPACE_LIMIT.
     """
+    check_graph_type(g, kind)
     size = choice_space_size(g, kind)
     if size > CHOICE_SPACE_LIMIT:
         raise OracleIntractableError("single-round choice space too large", size)
-    if exact is None:
-        exact = g.n <= 4
-    one = Fraction(1) if exact else 1.0
-    zero = one - one
-    acc: dict[frozenset[Edge], object] = {frozenset(): one}
+    acc: dict[frozenset[Edge], Fraction] = {frozenset(): Fraction(1)}
     for u in range(g.n):
-        per_node = _node_outcomes(g, u, kind, one)
-        nxt: dict[frozenset[Edge], object] = {}
+        per_node = _node_outcomes(g, u, kind)
+        nxt: dict[frozenset[Edge], Fraction] = {}
         for edges, p in acc.items():
             for edge, q in per_node.items():
                 key = edges if edge is None else edges | {edge}
-                nxt[key] = nxt.get(key, zero) + p * q
+                nxt[key] = nxt.get(key, 0) + p * q
         acc = nxt
-    total = sum(acc.values())
-    if exact:
-        assert total == 1
-    elif abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"probabilities sum to {total!r}")
+    assert sum(acc.values()) == 1
     return acc
 
 
-@dataclass
-class StateSpace:
-    """All edge-supersets of a base graph up to the convergence target.
-
-    States are bitmasks over the missing-edge list; mask 0 is the base
-    graph and the full mask is the absorbing target (complete graph for
-    undirected kinds, transitive closure for the directed kind).
-    """
-
-    base: UndirectedGraph | DirectedGraph
-    kind: ProcessKind
-    missing: list[Edge]
-    bit_of: dict[Edge, int]
-
-    @classmethod
-    def build(cls, g, kind: ProcessKind) -> StateSpace:
-        if kind.directed:
-            closure = transitive_closure(g)
-            missing = [e for e in closure.edges() if not g.has_edge(*e)]
-        else:
-            missing = [
-                (u, v)
-                for u in range(g.n)
-                for v in range(u + 1, g.n)
-                if not g.has_edge(u, v)
-            ]
-        if len(missing) > MISSING_EDGE_LIMIT:
-            raise OracleIntractableError("too many missing edges", len(missing))
-        bit_of = {e: i for i, e in enumerate(missing)}
-        return cls(base=g.copy(), kind=kind, missing=missing, bit_of=bit_of)
-
-    @property
-    def num_states(self) -> int:
-        return 1 << len(self.missing)
-
-    def graph(self, mask: int):
-        g = self.base.copy()
-        for bit, edge in enumerate(self.missing):
-            if mask >> bit & 1:
-                g.add_edge(*edge)
-        return g
-
-    def edge_bits(self, edges) -> int:
-        mask = 0
-        for e in edges:
-            mask |= 1 << self.bit_of[e]
-        return mask
-
-
-def expected_rounds(g, kind: ProcessKind, *, exact: bool | None = None):
+def expected_rounds(g, kind: ProcessKind) -> Fraction:
     """Exact expected number of rounds to reach the convergence target.
 
-    Solves the absorbing chain by back-substitution over the inclusion
-    order (transitions never remove edges, so masks can be processed in
-    decreasing integer order).  Exact fractions for n <= 4 by default.
+    The states are the edge-supersets of ``g`` up to the target (complete
+    graph for undirected kinds, transitive closure for the directed kind),
+    one bit per missing edge.  Transitions never remove edges, so the
+    absorbing chain is solved by back-substitution over masks in
+    decreasing integer order.  Refuses what ``run_to_convergence``
+    refuses: a graph of the wrong type, or a disconnected undirected one.
     """
-    space = StateSpace.build(g, kind)
-    if exact is None:
-        exact = g.n <= 4
-    full = space.num_states - 1
-    expect: list[object] = [None] * space.num_states
-    expect[full] = Fraction(0) if exact else 0.0
+    check_graph_type(g, kind)
+    if kind.directed:
+        missing = [e for e in transitive_closure(g).edges() if not g.has_edge(*e)]
+    else:
+        if not g.is_connected():
+            raise DisconnectedGraphError("undirected input must be connected")
+        missing = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
+    if len(missing) > MISSING_EDGE_LIMIT:
+        raise OracleIntractableError("too many missing edges", len(missing))
+    bit_of = {e: 1 << i for i, e in enumerate(missing)}
+    full = (1 << len(missing)) - 1
+    expect = [Fraction(0)] * (full + 1)
     for mask in range(full - 1, -1, -1):
-        dist = single_round_distribution(space.graph(mask), kind, exact=exact)
-        stay = dist.get(frozenset(), Fraction(0) if exact else 0.0)
-        if stay == 1:
-            raise OracleIntractableError("absorbing state unreachable", mask)
+        h = g.copy()
+        for edge, bit in bit_of.items():
+            if mask & bit:
+                h.add_edge(*edge)
+        dist = single_round_distribution(h, kind)
+        # short of the target, some two-edge path has unjoined ends, so the
+        # round can add an edge
+        stay = dist.pop(frozenset(), 0)
+        assert stay < 1
         acc = 1 + sum(
-            p * expect[mask | space.edge_bits(edges)]
-            for edges, p in dist.items()
-            if edges
+            p * expect[mask | sum(bit_of[e] for e in edges)] for edges, p in dist.items()
         )
         expect[mask] = acc / (1 - stay)
     return expect[0]
 
 
+def _relabelings(n: int, edges) -> set[tuple[Edge, ...]]:
+    """Sorted edge tuples of every relabeling of the graph on nodes 0..n-1."""
+    return {
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for p in itertools.permutations(range(n))
+    }
+
+
 def canonical_form(n: int, edges) -> tuple[int, tuple[Edge, ...]]:
     """Isomorphism-invariant form: the minimum sorted edge tuple over all
     node relabelings (brute force; meant for n <= 5)."""
-    best: tuple[Edge, ...] | None = None
-    edges = list(edges)
-    for perm in itertools.permutations(range(n)):
-        relabeled = tuple(
-            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    assert best is not None
-    return (n, best)
+    return (n, min(_relabelings(n, list(edges))))
+
+
+def _census(n: int) -> dict[tuple[Edge, ...], tuple[Edge, ...]]:
+    """Every connected graph on nodes 0..n-1, as its sorted edge tuple,
+    mapped to the edge tuple of its canonical form."""
+    pairs = list(itertools.combinations(range(n), 2))
+    census: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}
+    for mask in range(1, 1 << len(pairs)):
+        edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+        if edges in census or not UndirectedGraph(n, edges).is_connected():
+            continue
+        # one pass over the isomorphism class labels all its members
+        orbit = _relabelings(n, edges)
+        canon = min(orbit)
+        census.update(dict.fromkeys(orbit, canon))
+    return census
 
 
 def connected_graphs_upto(max_n: int):
     """All connected graphs with 2..max_n nodes, one per isomorphism class,
     as (n, edge_tuple) pairs in deterministic order."""
-    result = []
-    for n in range(2, max_n + 1):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        seen: set[tuple[int, tuple[Edge, ...]]] = set()
-        for mask in range(1, 1 << len(pairs)):
-            edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-            if not UndirectedGraph(n, edges).is_connected():
-                continue
-            canon = canonical_form(n, edges)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            result.append(canon)
-    result.sort(key=lambda c: (c[0], len(c[1]), c[1]))
-    return result
+    classes = {(n, canon) for n in range(2, max_n + 1) for canon in _census(n).values()}
+    return sorted(classes, key=lambda c: (c[0], len(c[1]), c[1]))
 
 
 @dataclass
@@ -264,49 +219,39 @@ class NonmonotonePair:
     n: int
     g_edges: tuple[Edge, ...]
     h_edges: tuple[Edge, ...]
-    g_expected: object
-    h_expected: object
+    g_expected: Fraction
+    h_expected: Fraction
 
 
 def nonmonotone_search(max_n: int, kind: ProcessKind) -> list[NonmonotonePair]:
     """All (G, H) pairs, H a connected proper spanning subgraph of G, where
     G's exact expected convergence time strictly exceeds H's.
 
-    Graphs are enumerated up to isomorphism; pairs are deduplicated by
-    the canonical forms of both members.
+    G ranges over canonical forms; each isomorphism class of H is reported
+    once per G, through the first of its copies in G in subset order.
     """
     if max_n > 5:
         raise OracleIntractableError("nonmonotone search limited to n <= 5", max_n)
-    expectations: dict[tuple[int, tuple[Edge, ...]], object] = {}
-
-    def expected_of(n: int, edges: tuple[Edge, ...]):
-        canon = canonical_form(n, edges)
-        if canon not in expectations:
-            expectations[canon] = expected_rounds(UndirectedGraph(n, canon[1]), kind)
-        return expectations[canon]
-
-    pairs: dict[tuple, NonmonotonePair] = {}
-    for n, g_edges in connected_graphs_upto(max_n):
-        e_g = expected_of(n, g_edges)
-        m = len(g_edges)
-        for sub in range(1, (1 << m) - 1):
-            h_edges = tuple(g_edges[i] for i in range(m) if sub >> i & 1)
-            if not UndirectedGraph(n, h_edges).is_connected():
-                continue
-            e_h = expected_of(n, h_edges)
-            if e_g > e_h:
-                key = (n, g_edges, canonical_form(n, h_edges)[1])
-                if key not in pairs:
-                    pairs[key] = NonmonotonePair(
-                        n=n,
-                        g_edges=g_edges,
-                        h_edges=h_edges,
-                        g_expected=e_g,
-                        h_expected=e_h,
-                    )
-    return sorted(
-        pairs.values(), key=lambda p: (p.n, len(p.g_edges), p.g_edges, p.h_edges)
-    )
+    pairs: list[NonmonotonePair] = []
+    for n in range(2, max_n + 1):
+        census = _census(n)
+        expected = {
+            canon: expected_rounds(UndirectedGraph(n, canon), kind)
+            for canon in set(census.values())
+        }
+        for g_edges, e_g in expected.items():
+            m = len(g_edges)
+            witnesses: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}
+            for sub in range(1, (1 << m) - 1):
+                h_edges = tuple(g_edges[i] for i in range(m) if sub >> i & 1)
+                h_class = census.get(h_edges)
+                if h_class is not None and e_g > expected[h_class]:
+                    witnesses.setdefault(h_class, h_edges)
+            pairs.extend(
+                NonmonotonePair(n, g_edges, h_edges, e_g, expected[h_class])
+                for h_class, h_edges in witnesses.items()
+            )
+    return sorted(pairs, key=lambda p: (p.n, len(p.g_edges), p.g_edges, p.h_edges))
 
 
 def _graph_label(g) -> str:

@@ -47,6 +47,7 @@ __all__ = [
     "round_function",
     "run_to_convergence",
     "convergence_target",
+    "check_graph_type",
     "mix64",
     "trial_seed",
 ]
@@ -68,7 +69,8 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     """Per-trial seed: element ``trial_index`` of the SplitMix64 stream.
 
     Sweeps derive independent trial streams from one master seed with
-    this function; nothing else in the package draws randomness.
+    this function, and the random family splits its generator stream off
+    its seed with it; nothing else in the package draws randomness.
     """
     return mix64((master_seed + (trial_index + 1) * _GOLDEN) & _MASK64)
 
@@ -268,13 +270,18 @@ def convergence_target(g: UndirectedGraph | DirectedGraph, kind: ProcessKind) ->
     stops at the transitive closure of the initial graph (the closure is
     invariant under the process, so it is computed once up front).
     """
+    check_graph_type(g, kind)
     if kind.directed:
-        if not isinstance(g, DirectedGraph):
-            raise ProcessGraphMismatchError(f"{kind.value} needs a directed graph")
         return transitive_closure(g).edge_count
-    if not isinstance(g, UndirectedGraph):
-        raise ProcessGraphMismatchError(f"{kind.value} needs an undirected graph")
     return g.n * (g.n - 1) // 2
+
+
+def check_graph_type(g, kind: ProcessKind) -> None:
+    """Raise ProcessGraphMismatchError unless ``g`` is directed exactly when
+    the process is."""
+    if not isinstance(g, DirectedGraph if kind.directed else UndirectedGraph):
+        need = "a directed" if kind.directed else "an undirected"
+        raise ProcessGraphMismatchError(f"{kind.value} needs {need} graph")
 
 
 def run_to_convergence(

@@ -316,7 +316,7 @@ def test_criterion_07_directed_weak_lower_bound():
     ratios = [med[n] / (n * n) for n in (8, 16, 32)]
     monotone = ratios[0] <= ratios[1] <= ratios[2]
 
-    dist = single_round_distribution(directed_weak_lb(8), DHOP, exact=True)
+    dist = single_round_distribution(directed_weak_lb(8), DHOP)
     from fractions import Fraction
 
     p = sum(p for edges, p in dist.items() if (0, 2) in edges)

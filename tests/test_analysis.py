@@ -234,3 +234,8 @@ class TestChainSpanPresence:
                 assert 0.0 <= mean <= 1.0
                 assert se >= 0.0
             assert freqs[(h, 0)][0] == 0.0
+
+    @pytest.mark.parametrize("n, trials", [(4, 10), (8, 1)], ids=["no-span-3", "one-trial"])
+    def test_refuses_inputs_without_an_estimate(self, n, trials):
+        with pytest.raises(ValueError, match="n >= 6 and trials >= 2"):
+            chain_span_presence(n, rounds=2, trials=trials, master_seed=5)

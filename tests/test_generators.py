@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from gossip_sim.generators import (
@@ -18,6 +21,7 @@ from gossip_sim.graph import (
     is_weakly_connected,
     transitive_closure,
 )
+from gossip_sim.process import triangulation_round
 
 
 class TestStandardFamilies:
@@ -61,6 +65,22 @@ class TestRandomConnected:
     def test_always_connected(self):
         for seed in range(30):
             assert random_connected_graph(9, 0.1, seed=seed).is_connected()
+
+    def test_stream_independent_of_a_process_on_the_same_seed(self):
+        # a sweep trial seeds both the generator and the process with one
+        # value; the centre of a random P3 must not fix the centre's draw
+        counts = Counter()
+        for seed in range(200):
+            g = random_connected_graph(3, 0.0, seed)
+            centre = next(u for u in range(3) if g.degree(u) == 2)
+            log = []
+            triangulation_round(g.copy(), random.Random(seed), draw_log=log)
+            first = next(v for u, v, _ in log if u == centre)
+            counts[centre, g.neighbors(centre).index(first)] += 1
+        for centre in range(3):
+            seen = counts[centre, 0] + counts[centre, 1]
+            assert seen >= 40
+            assert max(counts[centre, 0], counts[centre, 1]) <= 0.8 * seen
 
     def test_p_out_of_range(self):
         with pytest.raises(FamilyConstraintError):

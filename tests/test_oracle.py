@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from gossip_sim.generators import (
 from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph
 from gossip_sim.oracle import (
     OracleIntractableError,
-    StateSpace,
     canonical_form,
     choice_space_size,
     connected_graphs_upto,
@@ -22,11 +22,71 @@ from gossip_sim.oracle import (
     nonmonotone_search,
     single_round_distribution,
 )
-from gossip_sim.process import ProcessKind
+from gossip_sim.process import (
+    DisconnectedGraphError,
+    ProcessGraphMismatchError,
+    ProcessKind,
+)
 
 TRI = ProcessKind.TRIANGULATION
 HOP = ProcessKind.TWOHOP_UNDIRECTED
 DHOP = ProcessKind.TWOHOP_DIRECTED
+
+# nonmonotone_search(5, kind) as (n, G, H, E[G], E[H])
+FIVE_NODE_WITNESSES = {
+    TRI: [
+        (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),
+         ((0, 2), (0, 3), (1, 2), (1, 3)),
+         Fraction(81, 32),
+         Fraction(499, 240)),
+        (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)),
+         ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3)),
+         Fraction(826072049470, 99855554799),
+         Fraction(8527459595214886734145, 1078406870540517610092)),
+        (5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)),
+         ((0, 2), (0, 3), (1, 2), (1, 4), (3, 4)),
+         Fraction(62823968415425660, 10763832699929309),
+         Fraction(1850900488970352838, 333678813697808579)),
+        (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
+         ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
+         Fraction(296272, 46137),
+         Fraction(1383596442070888, 247350994183293)),
+        (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4)),
+         ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4)),
+         Fraction(2607187972, 432275129),
+         Fraction(62823968415425660, 10763832699929309)),
+        (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4)),
+         ((0, 3), (0, 4), (1, 2), (1, 3), (2, 4)),
+         Fraction(2607187972, 432275129),
+         Fraction(1850900488970352838, 333678813697808579)),
+        (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)),
+         ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)),
+         Fraction(464, 91),
+         Fraction(400910308570, 89328636397)),
+    ],
+    HOP: [
+        (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),
+         ((0, 2), (0, 3), (1, 2), (1, 3)),
+         Fraction(9, 5),
+         Fraction(134, 75)),
+        (5, ((0, 1), (0, 2), (0, 3), (1, 2), (3, 4)),
+         ((0, 1), (0, 2), (0, 3), (3, 4)),
+         Fraction(1212995940379499621782317, 203938214109902683218115),
+         Fraction(8211508211497129371856293815997896264, 1396979969334236949425057976841130125)),
+        (5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4)),
+         ((0, 2), (0, 3), (1, 2), (1, 3), (2, 4)),
+         Fraction(1951994461803831412201, 389939223919507998505),
+         Fraction(14949430615237560024871471756754607655, 3024272104698665056266987429591178291)),
+        (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
+         ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
+         Fraction(9178, 2303),
+         Fraction(5005850308077302, 1360278879500849)),
+        (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)),
+         ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)),
+         Fraction(1144, 329),
+         Fraction(9554644519716, 2806741224847)),
+    ],
+}
 
 
 class TestSingleRoundDistribution:
@@ -63,7 +123,7 @@ class TestSingleRoundDistribution:
 
     def test_weak_lb_first_edge_marginal(self):
         g = directed_weak_lb(8)
-        dist = single_round_distribution(g, DHOP, exact=True)
+        dist = single_round_distribution(g, DHOP)
         p = sum(p for edges, p in dist.items() if (0, 2) in edges)
         assert p == Fraction(1, 9)
         assert p <= Fraction(16, 8 * 8)
@@ -75,10 +135,16 @@ class TestSingleRoundDistribution:
                 assert sum(dist.values()) == 1
                 assert all(isinstance(p, Fraction) for p in dist.values())
 
-    def test_float_mode_beyond_four_nodes(self):
+    def test_exact_beyond_four_nodes(self):
+        # each inner node of P5 closes its own pair with probability 1/2
         dist = single_round_distribution(path_graph(5), TRI)
-        assert all(isinstance(p, float) for p in dist.values())
-        assert abs(sum(dist.values()) - 1.0) <= 1e-12
+        pairs = [(0, 2), (1, 3), (2, 4)]
+        assert dist == {
+            frozenset(chosen): Fraction(1, 8)
+            for k in range(4)
+            for chosen in itertools.combinations(pairs, k)
+        }
+        assert all(isinstance(p, Fraction) for p in dist.values())
 
     def test_refusal_reports_size(self):
         g = complete_graph(12)
@@ -112,42 +178,52 @@ class TestExpectedRounds:
         g = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
         assert expected_rounds(g, DHOP) == Fraction(1)
 
+    @pytest.mark.parametrize(
+        "g, kind",
+        [(path_graph(3), DHOP), (DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]), TRI)],
+        ids=["dtwohop-on-undirected", "tri-on-directed"],
+    )
+    def test_refuses_graph_of_the_wrong_type(self, g, kind):
+        for oracle_fn in (single_round_distribution, expected_rounds):
+            with pytest.raises(ProcessGraphMismatchError):
+                oracle_fn(g, kind)
+
+    @pytest.mark.parametrize("kind", [TRI, HOP], ids=["tri", "twohop"])
+    def test_refuses_disconnected_graph(self, kind):
+        with pytest.raises(DisconnectedGraphError):
+            expected_rounds(UndirectedGraph(4, [(0, 1), (2, 3)]), kind)
+
     def test_too_many_missing_edges_refused(self):
         with pytest.raises(OracleIntractableError):
             expected_rounds(path_graph(8), TRI)
 
     def test_finite_for_all_tractable_connected_graphs(self):
-        for n, edges in connected_graphs_upto(4):
+        for n, edges in connected_graphs_upto(5):
             g = UndirectedGraph(n, edges)
             for kind in (TRI, HOP):
                 value = expected_rounds(g, kind)
+                assert isinstance(value, Fraction)
                 assert value >= 0
 
 
 class TestStateSpaceAndMatrix:
-    def test_state_count_and_base(self):
-        space = StateSpace.build(path_graph(4), TRI)
-        assert space.num_states == 2 ** 3
-        assert set(space.graph(0).edges()) == set(path_graph(4).edges())
-        full = space.num_states - 1
-        assert space.graph(full).is_complete()
-
-    # the transition law's row at a state is the single-round distribution
-    # of that state's graph, as expected_rounds consumes it
+    # the states are the edge-supersets of a base graph, and the transition
+    # law's row at a state is the single-round distribution of its graph,
+    # as expected_rounds consumes it
 
     def test_rows_are_stochastic_and_upper_triangular(self):
-        space = StateSpace.build(cycle_graph(4), TRI)
-        for mask in range(space.num_states):
-            row = single_round_distribution(space.graph(mask), TRI)
-            assert sum(row.values()) == 1
-            assert all(space.edge_bits(edges) & mask == 0 for edges in row)
-
-    def test_float_rows_sum_within_tolerance(self):
-        space = StateSpace.build(cycle_graph(4), HOP)
-        for mask in range(space.num_states):
-            row = single_round_distribution(space.graph(mask), HOP, exact=False)
-            assert abs(sum(row.values()) - 1.0) <= 1e-12
-            assert all(space.edge_bits(edges) & mask == 0 for edges in row)
+        for base in (path_graph(4), cycle_graph(4)):
+            absent = [
+                e for e in itertools.combinations(range(4), 2) if not base.has_edge(*e)
+            ]
+            for k in range(len(absent) + 1):
+                for extra in itertools.combinations(absent, k):
+                    g = UndirectedGraph(4, list(base.edges()) + list(extra))
+                    missing = set(absent) - set(extra)
+                    for kind in (TRI, HOP):
+                        row = single_round_distribution(g, kind)
+                        assert sum(row.values()) == 1
+                        assert all(edges <= missing for edges in row)
 
 
 class TestCanonicalForms:
@@ -157,10 +233,12 @@ class TestCanonicalForms:
         assert a == b
 
     def test_connected_graph_census(self):
-        graphs = connected_graphs_upto(4)
+        graphs = connected_graphs_upto(5)
         assert len([g for g in graphs if g[0] == 2]) == 1
         assert len([g for g in graphs if g[0] == 3]) == 2
         assert len([g for g in graphs if g[0] == 4]) == 6
+        assert len([g for g in graphs if g[0] == 5]) == 21
+        assert all(canonical_form(n, edges) == (n, edges) for n, edges in graphs)
 
 
 class TestNonmonotoneSearch:
@@ -185,6 +263,16 @@ class TestNonmonotoneSearch:
         assert canonical_form(4, pair.h_edges) == canonical_form(
             4, [(0, 1), (1, 2), (2, 3), (0, 3)]
         )
+
+    @pytest.mark.parametrize("kind", [TRI, HOP], ids=["tri", "twohop"])
+    def test_five_node_witnesses(self, kind):
+        pairs = nonmonotone_search(5, kind)
+        assert [
+            (p.n, p.g_edges, p.h_edges, p.g_expected, p.h_expected) for p in pairs
+        ] == FIVE_NODE_WITNESSES[kind]
+        for pair in pairs:
+            assert isinstance(pair.g_expected, Fraction)
+            assert isinstance(pair.h_expected, Fraction)
 
     def test_max_n_limit(self):
         with pytest.raises(OracleIntractableError):
