@@ -113,20 +113,36 @@ def smallest_untouched_cut(g: DirectedGraph, chain_start: int = 1) -> int | None
 
 
 class TraceCollector:
-    """Builds one RoundTrace per executed round of ``run_to_convergence``,
-    at O(n) per round for the minimum (out-)degree."""
+    """Builds one RoundTrace per executed round of ``run_to_convergence``.
+
+    Rounds that the tail engine skips add no edge and get no row, so the
+    ``round`` column has gaps there.  Degrees only grow, so the minimum
+    (out-)degree is tracked through the set of nodes at the minimum: a
+    node leaves it when it gains an edge (both endpoints on an undirected
+    graph, the source on a digraph), and the O(n) scan runs again only
+    when the set is empty.
+    """
 
     def __init__(self):
         self.traces: list[RoundTrace] = []
         self._pending: tuple[int, int, int] | None = None
+        self._graph = None
+        self._lowest: set[int] = set()
+        self._min_degree = 0
 
     def begin_round(self, g, round_index: int, missing_edges: int) -> None:
-        self._pending = (round_index, g.min_degree(), missing_edges)
+        if g is not self._graph or not self._lowest:
+            self._graph = g
+            self._min_degree = g.min_degree()
+            self._lowest = {u for u in range(g.n) if len(g._adj[u]) == self._min_degree}
+        self._pending = (round_index, self._min_degree, missing_edges)
 
     def end_round(self, outcome: RoundOutcome) -> None:
         assert self._pending is not None and self._pending[0] == outcome.round_index
         self.traces.append(RoundTrace(*self._pending, len(outcome.edges_added)))
         self._pending = None
+        ends = 1 if isinstance(self._graph, DirectedGraph) else 2
+        self._lowest.difference_update(x for edge in outcome.edges_added for x in edge[:ends])
 
     def __iter__(self):
         return iter(self.traces)

@@ -213,13 +213,22 @@ def transitive_closure(g: DirectedGraph) -> DirectedGraph:
     """Reachability digraph of ``g``: edge ``(u, v)`` iff ``u`` has a path to ``v``.
 
     Self-loops are never added, so the result is simple and the operation
-    is idempotent.
+    is idempotent.  Warshall's algorithm over rows held as integer bitsets:
+    O(n^2) big-integer operations, where a search from every node costs
+    O(n m) steps.
     """
-    closed = DirectedGraph(g.n)
-    for u in range(g.n):
-        for v in g.reachable_from(u):
-            if v != u:
-                closed.add_edge(u, v)
+    n = g.n
+    reach = [sum(1 << v for v in a) for a in g._adj]
+    for k in range(n):
+        bit, row = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= row
+    closed = DirectedGraph(n)
+    for u, row in enumerate(reach):
+        closed._adj[u] = [v for v in range(n) if row >> v & 1 and v != u]
+        closed._adj_sets[u] = set(closed._adj[u])
+        closed.edge_count += len(closed._adj[u])
     return closed
 
 

@@ -17,11 +17,20 @@ edges are applied only after every node has taken its turn.  Each trial
 consumes one deterministic random stream; draws are consumed in ascending
 node order, two per node per round, and a skipped draw (a node or
 first-hop target with no out-neighbors) consumes nothing.
+
+The kernels define the semantics.  ``run_to_convergence`` runs them until
+at most ``TAIL_FACTOR * n`` edges are missing, then hands the run to a tail
+engine that skips the rounds adding no edge exactly: it draws their number
+from its geometric law and the next non-empty round from the kernels' law
+conditioned on adding an edge.  Its round counts have the kernels'
+distribution, from another random stream.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +44,7 @@ from .graph import (
 
 __all__ = [
     "DEFAULT_MAX_ROUNDS",
+    "TAIL_FACTOR",
     "ProcessKind",
     "ProcessConfig",
     "RoundOutcome",
@@ -53,6 +63,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ROUNDS = 10**7
+# run_to_convergence hands a run to the tail engine once at most
+# TAIL_FACTOR * n edges are missing; set by the converge-large benchmark
+TAIL_FACTOR = 0.5
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -292,10 +305,11 @@ def run_to_convergence(
     """Run rounds until converged or ``config.max_rounds`` is hit.
 
     Returns ``(rounds, capped)``.  The run is fully deterministic given
-    the initial graph and ``config.seed``.  When ``trace_sink`` is given,
-    its ``begin_round(graph, index, missing)`` hook is called while the
-    graph is still in its start-of-round state and ``end_round(outcome)``
-    after the round's edges are applied.
+    the initial graph and ``config.seed``.  Rounds that the tail engine
+    skips count in ``rounds``.  When ``trace_sink`` is given, its
+    ``begin_round(graph, index, missing)`` hook is called while the graph
+    is still in its start-of-round state and ``end_round(outcome)`` after
+    the round's edges are applied, for executed rounds only.
     """
     target = convergence_target(g, config.kind)
     if not config.kind.directed and not g.is_connected():
@@ -304,6 +318,9 @@ def run_to_convergence(
     step = round_function(config.kind)
     rounds = 0
     while g.edge_count < target and rounds < config.max_rounds:
+        if target - g.edge_count <= TAIL_FACTOR * g.n:
+            tail = _TriTail(g) if config.kind is ProcessKind.TRIANGULATION else _WalkTail(g)
+            return tail.run(rng, rounds, config.max_rounds, target, trace_sink)
         if trace_sink is not None:
             trace_sink.begin_round(g, rounds, target - g.edge_count)
         outcome = step(g, rng, round_index=rounds)
@@ -311,3 +328,157 @@ def run_to_convergence(
             trace_sink.end_round(outcome)
         rounds += 1
     return rounds, g.edge_count < target
+
+
+class _Tail:
+    """Exact skip-ahead over the rounds that add no edge: the n-fold way of
+    Bortz, Kalos and Lebowitz (1975), in discrete time.
+
+    While the graph is static, node u adds some edge in a round with
+    probability ``rate[u]``, independently of the other nodes.  A subclass
+    derives ``rate`` from counts it updates as it adds edges (``add``), and
+    draws the edge of a node known to add one (``pick``) in proportion to
+    the probabilities with which the node adds each missing edge.
+    """
+
+    def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+        """Number of empty rounds before the next round that adds an edge,
+        and the edges that round adds, in order; the graph is not changed."""
+        rate = self.rate
+        active = [u for u, p in enumerate(rate) if p > 0.0]
+        stay = math.prod([1.0 - rate[u] for u in active])
+        skip = int(math.log(1.0 - rng.random()) / math.log(stay)) if stay > 0.0 else 0
+        # A node produces once the running product of (1 - rate) over the
+        # nodes since the last producer falls to a uniform threshold.  The
+        # first threshold lies in [stay, 1), which conditions the round on
+        # adding an edge: the same product ends at exactly ``stay``.
+        threshold = stay + rng.random() * (1.0 - stay)
+        survive = 1.0
+        edges = []
+        for u in active:
+            survive *= 1.0 - rate[u]
+            if survive <= threshold:
+                edges.append(self.pick(u, rng))
+                threshold = rng.random()
+                survive = 1.0
+        return skip, list(dict.fromkeys(edges))
+
+    def run(self, rng, rounds, max_rounds, target, trace_sink) -> tuple[int, bool]:
+        g = self.g
+        while g.edge_count < target:
+            skip, edges = self.draw(rng)
+            rounds += skip
+            if rounds >= max_rounds:
+                return max_rounds, True
+            if trace_sink is not None:
+                trace_sink.begin_round(g, rounds, target - g.edge_count)
+            if isinstance(self, _TriTail):
+                _check_degree_doubling(g, edges)
+            for a, b in edges:
+                self.add(a, b)
+            if trace_sink is not None:
+                trace_sink.end_round(RoundOutcome(rounds, edges, g.edge_count))
+            rounds += 1
+        return rounds, False
+
+
+class _TriTail(_Tail):
+    """Triangulation: u adds each missing pair inside N(u) with probability
+    2/d_u^2, so ``rate[u] = 2 m[u] / d_u^2`` with ``m[u]`` such pairs."""
+
+    def __init__(self, g: UndirectedGraph) -> None:
+        self.g, adj_sets = g, g._adj_sets
+        nodes = set(range(g.n))
+        self.missing = [(a, b) for a in range(g.n) for b in sorted(nodes - adj_sets[a]) if a < b]
+        inside = Counter()
+        for a, b in self.missing:
+            inside.update(adj_sets[a] & adj_sets[b])
+        self.m = [inside[u] for u in range(g.n)]
+
+    @property
+    def rate(self) -> list[float]:
+        return [2 * m / (d * d) for m, d in zip(self.m, map(len, self.g._adj))]
+
+    def pick(self, u: int, rng: random.Random) -> tuple[int, int]:
+        # uniform over the missing pairs inside N(u), by rejection: near
+        # completion most missing pairs lie inside most neighbourhoods
+        nbrs = self.g._adj_sets[u]
+        while True:
+            a, b = self.missing[rng.randrange(len(self.missing))]
+            if a in nbrs and b in nbrs:
+                return a, b
+
+    def add(self, a: int, b: int) -> None:
+        adj_sets, m = self.g._adj_sets, self.m
+        self.missing.remove((a, b))
+        for c in adj_sets[a] & adj_sets[b]:
+            m[c] -= 1
+        # N(a) gains b, and with it the missing pairs {b, y}, y in N(a) - N(b)
+        m[a] += len(adj_sets[a] - adj_sets[b])
+        m[b] += len(adj_sets[b] - adj_sets[a])
+        self.g.add_edge(a, b)
+
+
+class _WalkTail(_Tail):
+    """Two-hop walks: u walks to v with probability 1/d_u and on to w with
+    1/d_v, so u adds the missing edge to w with probability
+    ``S[u][w] / d_u``, where ``S[u][w]`` sums 1/d_v over the nodes v with
+    u -> v -> w.  On a digraph the missing arcs are those of the
+    transitive closure, and ``inn`` holds the in-neighbours."""
+
+    def __init__(self, g) -> None:
+        self.g, n, adj, adj_sets = g, g.n, g._adj, g._adj_sets
+        self.directed = isinstance(g, DirectedGraph)
+        if self.directed:
+            reach = transitive_closure(g)._adj_sets
+            self.inn = [set() for _ in range(n)]
+            for u in range(n):
+                for v in adj[u]:
+                    self.inn[v].add(u)
+        else:
+            reach = [set(range(n))] * n
+            self.inn = adj_sets
+        inv = [1 / len(a) if a else 0.0 for a in adj]
+        self.S = [
+            {
+                w: math.fsum(inv[v] for v in adj_sets[u] & self.inn[w])
+                for w in sorted(reach[u] - adj_sets[u])
+                if w != u
+            }
+            for u in range(n)
+        ]
+
+    @property
+    def rate(self) -> list[float]:
+        return [sum(row.values()) / len(a) if row else 0.0 for row, a in zip(self.S, self.g._adj)]
+
+    def pick(self, u: int, rng: random.Random) -> tuple[int, int]:
+        row = self.S[u]
+        w = rng.choices(list(row), list(row.values()))[0]
+        return (u, w) if self.directed or u < w else (w, u)
+
+    def _shift(self, v: int, gain_in: int | None, gain_out: int | None) -> None:
+        """Update S for the walks through v, before v gains the in-neighbour
+        ``gain_in`` and the out-neighbour ``gain_out``."""
+        inn, out = self.inn[v], self.g._adj_sets[v]
+        old = 1 / len(out) if out else 0.0
+        new = old if gain_out is None else 1 / (len(out) + 1)
+        for x, row in enumerate(self.S):
+            was = x in inn
+            if was or x == gain_in:
+                for y in row:
+                    before = old if was and y in out else 0.0
+                    after = new if y in out or y == gain_out else 0.0
+                    row[y] += after - before
+
+    def add(self, a: int, b: int) -> None:
+        del self.S[a][b]
+        if self.directed:
+            self._shift(a, None, b)
+            self._shift(b, a, None)
+            self.inn[b].add(a)
+        else:
+            del self.S[b][a]
+            self._shift(a, b, b)
+            self._shift(b, a, a)
+        self.g.add_edge(a, b)

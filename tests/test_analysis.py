@@ -30,7 +30,6 @@ from gossip_sim.process import (
     convergence_target,
     directed_twohop_round,
     run_to_convergence,
-    triangulation_round,
 )
 
 
@@ -110,17 +109,12 @@ class TestTraceCollector:
         assert len(collector) == 0
 
     def test_p3_successful_round_record(self):
-        # find a seed whose first round closes P3, then check the record
-        seed = next(
-            s
-            for s in range(50)
-            if triangulation_round(path_graph(3), random.Random(s)).edges_added
-        )
+        # find a seed whose run closes P3 in its first round, then check the record
+        config = lambda s: ProcessConfig(kind=ProcessKind.TRIANGULATION, seed=s)
+        seed = next(s for s in range(50) if run_to_convergence(path_graph(3), config(s))[0] == 1)
         collector = TraceCollector()
         g = path_graph(3)
-        rounds, _ = run_to_convergence(
-            g, ProcessConfig(kind=ProcessKind.TRIANGULATION, seed=seed), collector
-        )
+        rounds, _ = run_to_convergence(g, config(seed), collector)
         assert rounds == 1
         trace = collector.traces[0]
         assert trace.round == 0
@@ -138,6 +132,30 @@ class TestTraceCollector:
         missing = [t.missing_edges for t in collector]
         assert all(b >= a for a, b in zip(degrees, degrees[1:]))
         assert all(b <= a for a, b in zip(missing, missing[1:]))
+
+    @pytest.mark.parametrize(
+        "make, kind",
+        [
+            (lambda: cycle_graph(40), ProcessKind.TRIANGULATION),
+            (lambda: directed_strong_lb(32), ProcessKind.TWOHOP_DIRECTED),
+        ],
+        ids=["cycle40-tri", "dstrong32-dtwohop"],
+    )
+    def test_min_degree_matches_a_scan(self, make, kind):
+        collector = TraceCollector()
+        scanned = []
+
+        class Sink:
+            def begin_round(self, g, index, missing):
+                scanned.append(g.min_degree())
+                collector.begin_round(g, index, missing)
+
+            def end_round(self, outcome):
+                collector.end_round(outcome)
+
+        run_to_convergence(make(), ProcessConfig(kind=kind, seed=3), Sink())
+        assert len(scanned) > 10
+        assert [t.min_degree for t in collector] == scanned
 
     def test_cut_tracking_on_strong_lb(self):
         # the cut read before each round of a seeded run to convergence

@@ -8,6 +8,7 @@ from gossip_sim import process
 from gossip_sim.generators import (
     complete_graph,
     cycle_graph,
+    directed_strong_lb,
     directed_weak_lb,
     path_graph,
     star_graph,
@@ -299,10 +300,17 @@ class TestReferenceStream:
         ],
     )
     def test_rounds_to_convergence(self, make, kind, expected):
-        rounds = [
-            run_to_convergence(make(), ProcessConfig(kind=kind, seed=trial_seed(1, i)))[0]
-            for i in range(5)
-        ]
+        step = process.round_function(kind)
+        rounds = []
+        for i in range(5):
+            g = make()
+            target = process.convergence_target(g, kind)
+            rng = random.Random(trial_seed(1, i))
+            r = 0
+            while g.edge_count < target:
+                step(g, rng, round_index=r)
+                r += 1
+            rounds.append(r)
         assert rounds == expected
 
     def test_skipped_draws_consume_nothing(self):
@@ -315,15 +323,21 @@ class TestReferenceStream:
 
 class TestKernelSeam:
     def test_directed_kernel_is_resolved_at_call_time(self, monkeypatch):
+        # dstrong(16) misses more than TAIL_FACTOR * n arcs of its closure,
+        # so the kernel runs until the tail engine takes over
         calls = []
         original = process.directed_twohop_round
+        g = directed_strong_lb(16)
+        target = process.convergence_target(g, ProcessKind.TWOHOP_DIRECTED)
 
         def spy(g, rng, round_index=0, draw_log=None):
+            assert target - g.edge_count > process.TAIL_FACTOR * g.n
             calls.append(round_index)
             return original(g, rng, round_index, draw_log)
 
         monkeypatch.setattr(process, "directed_twohop_round", spy)
         assert process.round_function(ProcessKind.TWOHOP_DIRECTED) is spy
         config = ProcessConfig(kind=ProcessKind.TWOHOP_DIRECTED, seed=trial_seed(1, 1))
-        rounds, _ = process.run_to_convergence(directed_weak_lb(8), config)
-        assert calls == list(range(rounds)) and rounds == 3
+        rounds, capped = process.run_to_convergence(g, config)
+        assert calls == list(range(len(calls))) and len(calls) >= 1
+        assert rounds > len(calls) and not capped and g.edge_count == target

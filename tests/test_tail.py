@@ -1,0 +1,228 @@
+"""Distribution gates for the tail engine behind ``run_to_convergence``.
+
+The engine skips the rounds that add no edge, so it draws another random
+stream than the reference kernels.  These tests hold it to the kernels'
+law instead: its per-node rates against the oracle's per-node outcomes,
+its first non-empty round and skip length against the exact single-round
+distribution, its mean rounds against ``expected_rounds``, and its round
+counts against the kernels' at n = 64.
+"""
+
+import math
+import random
+import statistics
+from collections import Counter
+
+import pytest
+from scipy.stats import chi2, ks_2samp, mannwhitneyu
+
+from gossip_sim import process
+from gossip_sim.generators import (
+    complete_graph,
+    cycle_graph,
+    directed_strong_lb,
+    directed_weak_lb,
+    random_connected_graph,
+)
+from gossip_sim.graph import DirectedGraph, UndirectedGraph
+from gossip_sim.oracle import (
+    _node_outcomes,
+    connected_graphs_upto,
+    expected_rounds,
+    single_round_distribution,
+)
+from gossip_sim.process import (
+    ProcessConfig,
+    ProcessKind,
+    convergence_target,
+    round_function,
+    run_to_convergence,
+    trial_seed,
+)
+
+TRI = ProcessKind.TRIANGULATION
+HOP = ProcessKind.TWOHOP_UNDIRECTED
+DHOP = ProcessKind.TWOHOP_DIRECTED
+MIN_P = 1e-3
+Z_MAX = 4.0
+
+
+def _tail(g, kind):
+    return process._TriTail(g) if kind is TRI else process._WalkTail(g)
+
+
+def _engine_split(tail, g, kind, u):
+    """The engine's probability that node u adds each edge in a round."""
+    if kind is TRI:
+        nbrs, d = g._adj_sets[u], g.degree(u)
+        return {e: 2 / (d * d) for e in tail.missing if e[0] in nbrs and e[1] in nbrs}
+    row = tail.S[u]
+    return {
+        (u, w) if kind.directed or u < w else (w, u): s / g.degree(u)
+        for w, s in row.items()
+        if s > 0
+    }
+
+
+def _small_graphs(kind, count):
+    rng = random.Random(trial_seed(61, kind is DHOP))
+    for i in range(count):
+        n = rng.randint(3, 7)
+        if kind.directed:
+            arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.3]
+            yield DirectedGraph(n, arcs)
+        else:
+            yield random_connected_graph(n, 0.2, seed=trial_seed(62, i))
+
+
+@pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
+def test_rates_match_the_oracle_after_every_round(kind):
+    def check(tail, g):
+        rate = tail.rate
+        for u in range(g.n):
+            exact = {e: float(p) for e, p in _node_outcomes(g, u, kind).items() if e is not None}
+            split = _engine_split(tail, g, kind, u)
+            assert split.keys() == exact.keys()
+            for e, p in exact.items():
+                assert split[e] == pytest.approx(p, rel=1e-12, abs=0)
+            assert rate[u] == pytest.approx(sum(exact.values()), rel=1e-12, abs=0)
+
+    checked = []
+
+    class Checker:
+        def begin_round(self, g, index, missing):
+            check(tail, g)
+            checked.append(index)
+
+        def end_round(self, outcome):
+            pass
+
+    for i, g in enumerate(_small_graphs(kind, 40)):
+        target = convergence_target(g, kind)
+        tail = _tail(g, kind)
+        tail.run(random.Random(trial_seed(63, i)), 0, 10**6, target, Checker())
+        check(tail, g)
+        assert g.edge_count == target
+    assert len(checked) > 100
+
+
+def _static_cases():
+    for n, edges in connected_graphs_upto(4):
+        for kind in (TRI, HOP):
+            yield f"{kind.value}-{n}-{edges}", UndirectedGraph(n, edges), kind
+    yield "dweak4", directed_weak_lb(4), DHOP
+    yield "dstrong4", directed_strong_lb(4), DHOP
+
+
+STATIC = [case for case in _static_cases() if case[1].edge_count < convergence_target(*case[1:])]
+
+
+@pytest.mark.parametrize("g, kind", [case[1:] for case in STATIC], ids=[case[0] for case in STATIC])
+def test_first_nonempty_round_and_skip_match_the_oracle(g, kind):
+    """On a static graph: the round the engine executes follows the exact
+    single-round law conditioned on adding an edge, and the number of
+    empty rounds skipped before it is geometric with mean P/(1 - P),
+    P the exact probability of an empty round."""
+    trials = 10_000
+    dist = single_round_distribution(g, kind)
+    empty = float(dist.pop(frozenset()))
+    tail = _tail(g, kind)
+    rng = random.Random(trial_seed(64, g.n * 100 + g.edge_count))
+    counts: Counter = Counter()
+    skips = []
+    for _ in range(trials):
+        skip, edges = tail.draw(rng)
+        counts[frozenset(edges)] += 1
+        skips.append(skip)
+    assert set(counts) <= set(dist)
+    if len(dist) > 1:
+        stat = sum(
+            (counts[e] - trials * float(p) / (1 - empty)) ** 2 / (trials * float(p) / (1 - empty))
+            for e, p in dist.items()
+        )
+        assert chi2.sf(stat, len(dist) - 1) > MIN_P
+    mean_skip = empty / (1 - empty)
+    sd_skip = math.sqrt(empty) / (1 - empty)
+    if sd_skip == 0:
+        assert set(skips) == {0}
+    else:
+        z = (statistics.fmean(skips) - mean_skip) / (sd_skip / math.sqrt(trials))
+        assert abs(z) <= Z_MAX
+
+
+@pytest.mark.parametrize("kind", [TRI, HOP])
+def test_mean_rounds_match_expected_rounds(kind):
+    """Every connected graph with at most 5 nodes; sparse ones run on the
+    kernel before the engine takes over."""
+    trials = 500
+    worst = 0.0
+    for j, (n, edges) in enumerate(connected_graphs_upto(5)):
+        g = UndirectedGraph(n, edges)
+        exact = float(expected_rounds(g, kind))
+        rounds = [
+            run_to_convergence(g.copy(), ProcessConfig(kind=kind, seed=trial_seed(65 + j, i)))[0]
+            for i in range(trials)
+        ]
+        sd = statistics.stdev(rounds)
+        if sd == 0:
+            assert rounds[0] == exact
+            continue
+        z = (statistics.fmean(rounds) - exact) / (sd / math.sqrt(trials))
+        worst = max(worst, abs(z))
+    assert worst <= Z_MAX
+
+
+@pytest.mark.parametrize(
+    "make, kind, trials",
+    [
+        (lambda: cycle_graph(64), TRI, 100),
+        (lambda: cycle_graph(64), HOP, 100),
+        (lambda: directed_weak_lb(64), DHOP, 100),
+    ],
+    ids=["cycle-tri", "cycle-twohop", "dweak-dtwohop"],
+)
+def test_round_counts_match_the_reference_kernels(make, kind, trials):
+    g0 = make()
+    target = convergence_target(g0, kind)
+    step = round_function(kind)
+    reference = []
+    for i in range(trials):
+        g = g0.copy()
+        rng = random.Random(trial_seed(66, i))
+        rounds = 0
+        while g.edge_count < target:
+            step(g, rng, round_index=rounds)
+            rounds += 1
+        reference.append(rounds)
+    engine = [
+        run_to_convergence(g0.copy(), ProcessConfig(kind=kind, seed=trial_seed(67, i)))[0]
+        for i in range(trials)
+    ]
+    assert ks_2samp(reference, engine).pvalue > MIN_P
+    assert mannwhitneyu(reference, engine).pvalue > MIN_P
+
+
+def test_cap_inside_a_skip_reports_the_cap():
+    # K30 minus one edge: about one round in 15 adds it
+    cap = 5
+    skipped_past_cap = 0
+    executed = []
+
+    class Sink:
+        def begin_round(self, graph, index, missing):
+            executed.append(index)
+
+        def end_round(self, outcome):
+            pass
+
+    for seed in range(20):
+        g = UndirectedGraph(30, [e for e in complete_graph(30).edges() if e != (0, 1)])
+        executed.clear()
+        config = ProcessConfig(kind=TRI, seed=seed, max_rounds=cap)
+        rounds, capped = run_to_convergence(g, config, Sink())
+        if capped:
+            assert rounds == cap and not g.is_complete()
+            skipped_past_cap += not executed
+        else:
+            assert rounds <= cap and g.is_complete() and executed == [rounds - 1]
+    assert skipped_past_cap >= 5
