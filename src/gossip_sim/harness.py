@@ -111,7 +111,8 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
     ]
     if spec.jobs > 1 and len(tasks) > 1:
         # map yields results in task order, whichever worker finishes first
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        # the executor starts every worker up front, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_one, tasks, chunksize=8))
     else:
         outcomes = [_run_one(t) for t in tasks]
@@ -184,17 +185,11 @@ def rows_from_csv(text: str) -> list[TrialRow]:
         if len(parts) != 7:
             raise ValueError(f"bad row {ln!r}")
         family, n, process, trial, seed, rounds, capped = parts
-        rows.append(
-            TrialRow(
-                family=family,
-                n=int(n),
-                process=process,
-                trial=int(trial),
-                seed=int(seed),
-                rounds=int(rounds),
-                capped=capped == "1",
-            )
-        )
+        # every family needs n >= 2, and the aggregates divide by log(n)
+        if int(n) < 2 or int(trial) < 0 or int(rounds) < 0 or capped not in ("0", "1"):
+            raise ValueError(f"bad row {ln!r}: need n >= 2, trial, rounds >= 0, capped 0 or 1")
+        row = TrialRow(family, int(n), process, int(trial), int(seed), int(rounds), capped == "1")
+        rows.append(row)
     return rows
 
 

@@ -20,17 +20,17 @@ first-hop target with no out-neighbors) consumes nothing.
 
 The kernels define the semantics.  ``run_to_convergence`` runs them until
 at most ``TAIL_FACTOR * n`` edges are missing, then hands the run to a tail
-engine that skips the rounds adding no edge exactly: it draws their number
-from its geometric law and the next non-empty round from the kernels' law
-conditioned on adding an edge.  Its round counts have the kernels'
-distribution, from another random stream.
+engine that skips the rounds adding no edge exactly: it bounds each
+node's rate from degrees and missing-list sizes, draws the number of
+rounds without a candidate node, and keeps each candidate's one proposed
+edge with the probability that makes the kernels' law exact.  Its round
+counts have the kernels' distribution, from another random stream.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -311,7 +311,10 @@ def run_to_convergence(
     is still in its start-of-round state and ``end_round(outcome)`` after
     the round's edges are applied, for executed rounds only.
     """
-    target = convergence_target(g, config.kind)
+    # convergence_target's closure, computed once and handed to the tail
+    check_graph_type(g, config.kind)
+    closure = transitive_closure(g) if config.kind.directed else None
+    target = closure.edge_count if config.kind.directed else g.n * (g.n - 1) // 2
     if not config.kind.directed and not g.is_connected():
         raise DisconnectedGraphError("undirected input must be connected")
     rng = random.Random(config.seed)
@@ -319,7 +322,8 @@ def run_to_convergence(
     rounds = 0
     while g.edge_count < target and rounds < config.max_rounds:
         if target - g.edge_count <= TAIL_FACTOR * g.n:
-            tail = _TriTail(g) if config.kind is ProcessKind.TRIANGULATION else _WalkTail(g)
+            tri = config.kind is ProcessKind.TRIANGULATION
+            tail = _TriTail(g) if tri else _WalkTail(g, closure)
             return tail.run(rng, rounds, config.max_rounds, target, trace_sink)
         if trace_sink is not None:
             trace_sink.begin_round(g, rounds, target - g.edge_count)
@@ -331,37 +335,47 @@ def run_to_convergence(
 
 
 class _Tail:
-    """Exact skip-ahead over the rounds that add no edge: the n-fold way of
-    Bortz, Kalos and Lebowitz (1975), in discrete time.
+    """Exact skip-ahead over the rounds that add no edge, by thinning (Lewis
+    and Shedler 1979) in discrete time.
 
-    While the graph is static, node u adds some edge in a round with
-    probability ``rate[u]``, independently of the other nodes.  A subclass
-    derives ``rate`` from counts it updates as it adds edges (``add``), and
-    draws the edge of a node known to add one (``pick``) in proportion to
-    the probabilities with which the node adds each missing edge.
+    While the graph is static, node u adds missing edge e in a round with
+    the kernels' probability p[u][e], independently of the other nodes.
+    Each draw bounds every node's total rate afresh (``bound``); a node is
+    a candidate with probability bound[u] and proposes e with probability
+    p[u][e] / bound[u] (``propose``), so it adds e with p[u][e].  No rate
+    is kept between draws: ``add`` updates the missing lists and the graph.
     """
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
         """Number of empty rounds before the next round that adds an edge,
         and the edges that round adds, in order; the graph is not changed."""
-        rate = self.rate
-        active = [u for u, p in enumerate(rate) if p > 0.0]
-        stay = math.prod([1.0 - rate[u] for u in active])
-        skip = int(math.log(1.0 - rng.random()) / math.log(stay)) if stay > 0.0 else 0
-        # A node produces once the running product of (1 - rate) over the
-        # nodes since the last producer falls to a uniform threshold.  The
-        # first threshold lies in [stay, 1), which conditions the round on
-        # adding an edge: the same product ends at exactly ``stay``.
-        threshold = stay + rng.random() * (1.0 - stay)
-        survive = 1.0
-        edges = []
-        for u in active:
-            survive *= 1.0 - rate[u]
-            if survive <= threshold:
-                edges.append(self.pick(u, rng))
-                threshold = rng.random()
-                survive = 1.0
-        return skip, list(dict.fromkeys(edges))
+        bound = self.bound()
+        active = [u for u, q in enumerate(bound) if q > 0.0]
+        keep = [1.0 - bound[u] for u in active]
+        stay = math.prod(keep)
+        log_stay = math.log(stay) if stay > 0.0 else -math.inf
+        skip = 0
+        while True:
+            skip += int(math.log(1.0 - rng.random()) / log_stay)
+            # A node is a candidate once the running product of (1 - bound)
+            # over the nodes since the last candidate falls to a uniform
+            # threshold.  The first threshold lies in [stay, 1), which
+            # conditions the round on a candidate: the product ends at
+            # exactly ``stay``.
+            threshold = stay + rng.random() * (1.0 - stay)
+            survive = 1.0
+            edges = []
+            for u, k in zip(active, keep):
+                survive *= k
+                if survive <= threshold:
+                    e = self.propose(u, rng)
+                    if e is not None:
+                        edges.append(e)
+                    threshold = rng.random()
+                    survive = 1.0
+            if edges:
+                return skip, list(dict.fromkeys(edges))
+            skip += 1  # every proposal was turned down: an empty round
 
     def run(self, rng, rounds, max_rounds, target, trace_sink) -> tuple[int, bool]:
         g = self.g
@@ -372,8 +386,6 @@ class _Tail:
                 return max_rounds, True
             if trace_sink is not None:
                 trace_sink.begin_round(g, rounds, target - g.edge_count)
-            if isinstance(self, _TriTail):
-                _check_degree_doubling(g, edges)
             for a, b in edges:
                 self.add(a, b)
             if trace_sink is not None:
@@ -383,102 +395,89 @@ class _Tail:
 
 
 class _TriTail(_Tail):
-    """Triangulation: u adds each missing pair inside N(u) with probability
-    2/d_u^2, so ``rate[u] = 2 m[u] / d_u^2`` with ``m[u]`` such pairs."""
+    """Triangulation: u adds each of the M missing pairs inside N(u) with
+    probability 2/d_u^2, and N(u) holds at most min(M, d_u(d_u-1)/2)."""
 
     def __init__(self, g: UndirectedGraph) -> None:
-        self.g, adj_sets = g, g._adj_sets
-        nodes = set(range(g.n))
-        self.missing = [(a, b) for a in range(g.n) for b in sorted(nodes - adj_sets[a]) if a < b]
-        inside = Counter()
-        for a, b in self.missing:
-            inside.update(adj_sets[a] & adj_sets[b])
-        self.m = [inside[u] for u in range(g.n)]
+        self.g, n, nbrs = g, g.n, g._adj_sets
+        self.missing = [(a, b) for a in range(n) for b in sorted(set(range(a + 1, n)) - nbrs[a])]
 
-    @property
-    def rate(self) -> list[float]:
-        return [2 * m / (d * d) for m, d in zip(self.m, map(len, self.g._adj))]
+    def bound(self) -> list[float]:
+        m2 = 2 * len(self.missing)
+        return [m2 / (d * d) if d * (d - 1) > m2 else (d - 1) / d for d in map(len, self.g._adj)]
 
-    def pick(self, u: int, rng: random.Random) -> tuple[int, int]:
-        # uniform over the missing pairs inside N(u), by rejection: near
-        # completion most missing pairs lie inside most neighbourhoods
-        nbrs = self.g._adj_sets[u]
-        while True:
-            a, b = self.missing[rng.randrange(len(self.missing))]
-            if a in nbrs and b in nbrs:
-                return a, b
+    def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
+        # a missing pair inside N(u) comes out with 2/d^2 over the bound:
+        # 1/M over 2M/d^2, or the kernel's 2/(d(d-1)) over (d-1)/d
+        nbrs, adj_sets, missing = self.g._adj[u], self.g._adj_sets, self.missing
+        d = len(nbrs)
+        if 2 * len(missing) < d * (d - 1):
+            a, b = missing[rng.randrange(len(missing))]
+            return (a, b) if a in adj_sets[u] and b in adj_sets[u] else None
+        i, j = rng.randrange(d), rng.randrange(d - 1)
+        a, b = nbrs[i], nbrs[j + (j >= i)]
+        if b in adj_sets[a]:
+            return None
+        return (a, b) if a < b else (b, a)
+
+    def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+        skip, edges = super().draw(rng)
+        _check_degree_doubling(self.g, edges)
+        return skip, edges
 
     def add(self, a: int, b: int) -> None:
-        adj_sets, m = self.g._adj_sets, self.m
         self.missing.remove((a, b))
-        for c in adj_sets[a] & adj_sets[b]:
-            m[c] -= 1
-        # N(a) gains b, and with it the missing pairs {b, y}, y in N(a) - N(b)
-        m[a] += len(adj_sets[a] - adj_sets[b])
-        m[b] += len(adj_sets[b] - adj_sets[a])
         self.g.add_edge(a, b)
 
 
 class _WalkTail(_Tail):
-    """Two-hop walks: u walks to v with probability 1/d_u and on to w with
-    1/d_v, so u adds the missing edge to w with probability
-    ``S[u][w] / d_u``, where ``S[u][w]`` sums 1/d_v over the nodes v with
-    u -> v -> w.  On a digraph the missing arcs are those of the
-    transitive closure, and ``inn`` holds the in-neighbours."""
+    """Two-hop walks: u adds the missing edge to w with probability
+    sum(1/(d_u d_v)) over v in N+(u) & N-(w), at most |N-(w)| / (d_u low)
+    with ``low`` the least positive out-degree.  ``miss[u]`` lists the
+    missing targets of u, on a digraph the arcs of the ``closure`` not yet
+    present, and ``inn[w]`` the in-neighbours of w."""
 
-    def __init__(self, g) -> None:
-        self.g, n, adj, adj_sets = g, g.n, g._adj, g._adj_sets
-        self.directed = isinstance(g, DirectedGraph)
+    def __init__(self, g, closure: DirectedGraph | None) -> None:
+        self.g, self.directed = g, closure is not None
+        reach = closure._adj_sets if self.directed else [set(range(g.n))] * g.n
+        self.miss = [sorted(r - s - {u}) for u, (r, s) in enumerate(zip(reach, g._adj_sets))]
+        self.inn = [[] for _ in range(g.n)] if self.directed else g._adj
         if self.directed:
-            reach = transitive_closure(g)._adj_sets
-            self.inn = [set() for _ in range(n)]
-            for u in range(n):
-                for v in adj[u]:
-                    self.inn[v].add(u)
-        else:
-            reach = [set(range(n))] * n
-            self.inn = adj_sets
-        inv = [1 / len(a) if a else 0.0 for a in adj]
-        self.S = [
-            {
-                w: math.fsum(inv[v] for v in adj_sets[u] & self.inn[w])
-                for w in sorted(reach[u] - adj_sets[u])
-                if w != u
-            }
-            for u in range(n)
+            for u, out in enumerate(g._adj):
+                for v in out:
+                    self.inn[v].append(u)
+
+    def bound(self) -> list[float]:
+        adj, inn = self.g._adj, self.inn
+        self.low = low = min(d for d in map(len, adj) if d)
+        return [
+            min(1.0, sum([len(inn[w]) for w in row]) / (len(a) * low)) if row else 0.0
+            for row, a in zip(self.miss, adj)
         ]
 
-    @property
-    def rate(self) -> list[float]:
-        return [sum(row.values()) / len(a) if row else 0.0 for row, a in zip(self.S, self.g._adj)]
-
-    def pick(self, u: int, rng: random.Random) -> tuple[int, int]:
-        row = self.S[u]
-        w = rng.choices(list(row), list(row.values()))[0]
+    def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
+        # w comes out with sum(1/(d_u d_v)) over the bound: w in proportion
+        # to |N-(w)|, v uniform in N-(w) kept with low/d_v, or the kernel's walk
+        adj, adj_sets, targets = self.g._adj, self.g._adj_sets, self.miss[u]
+        weights = [len(self.inn[w]) for w in targets]
+        if sum(weights) < len(adj[u]) * self.low:
+            w = rng.choices(targets, weights)[0]
+            v = rng.choice(self.inn[w])
+            if v not in adj_sets[u] or rng.random() * len(adj[v]) >= self.low:
+                return None
+        else:
+            v = rng.choice(adj[u])
+            if not adj[v]:
+                return None
+            w = rng.choice(adj[v])
+            if w == u or w in adj_sets[u]:
+                return None
         return (u, w) if self.directed or u < w else (w, u)
 
-    def _shift(self, v: int, gain_in: int | None, gain_out: int | None) -> None:
-        """Update S for the walks through v, before v gains the in-neighbour
-        ``gain_in`` and the out-neighbour ``gain_out``."""
-        inn, out = self.inn[v], self.g._adj_sets[v]
-        old = 1 / len(out) if out else 0.0
-        new = old if gain_out is None else 1 / (len(out) + 1)
-        for x, row in enumerate(self.S):
-            was = x in inn
-            if was or x == gain_in:
-                for y in row:
-                    before = old if was and y in out else 0.0
-                    after = new if y in out or y == gain_out else 0.0
-                    row[y] += after - before
-
     def add(self, a: int, b: int) -> None:
-        del self.S[a][b]
+        self.miss[a].remove(b)
         if self.directed:
-            self._shift(a, None, b)
-            self._shift(b, a, None)
-            self.inn[b].add(a)
+            self.inn[b].append(a)
         else:
-            del self.S[b][a]
-            self._shift(a, b, b)
-            self._shift(b, a, a)
+            self.miss[b].remove(a)
         self.g.add_edge(a, b)

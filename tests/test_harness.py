@@ -43,6 +43,29 @@ class TestRunSweep:
         parallel = harness.run_sweep(make_spec(jobs=2))
         assert harness.rows_to_csv(serial) == harness.rows_to_csv(parallel)
 
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        spec = make_spec(sizes=[8], trials=2, jobs=5000)
+        rows = harness.run_sweep(spec)
+        assert started == [2]
+        serial = harness.run_sweep(make_spec(sizes=[8], trials=2))
+        assert harness.rows_to_csv(rows) == harness.rows_to_csv(serial)
+
     def test_cap_is_reported(self):
         # one triangulation round cannot finish P4: no single-round outcome
         # adds all three missing edges
@@ -105,6 +128,17 @@ class TestAggregation:
             harness.rows_from_csv("not,a,header\n")
         with pytest.raises(ValueError):
             harness.rows_from_csv(harness.ROWS_CSV_HEADER + "\nonly,three,cols\n")
+        good = "path,8,tri,0,5,12,0"
+        assert harness.rows_from_csv(f"{harness.ROWS_CSV_HEADER}\n{good}\n")
+        for bad in (
+            "path,1,tri,0,5,12,0",
+            "path,8,tri,-1,5,12,0",
+            "path,8,tri,0,5,-7,0",
+            "path,8,tri,0,5,12,2",
+            "path,8,tri,0,5,12,yes",
+        ):
+            with pytest.raises(ValueError, match="bad row"):
+                harness.rows_from_csv(f"{harness.ROWS_CSV_HEADER}\n{good}\n{bad}\n")
 
 
 class TestScalingReport:
@@ -253,6 +287,12 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
         assert cli.main(["analyze", "scaling", "--in", str(bad)]) == 2
+
+    def test_analyze_scaling_out_of_range_row_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{harness.ROWS_CSV_HEADER}\npath,1,tri,0,5,12,0\n")
+        assert cli.main(["analyze", "scaling", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad row")
 
     def test_analyze_ph_bound_passes(self, capsys):
         code = cli.main([

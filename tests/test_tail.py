@@ -2,10 +2,10 @@
 
 The engine skips the rounds that add no edge, so it draws another random
 stream than the reference kernels.  These tests hold it to the kernels'
-law instead: its per-node rates against the oracle's per-node outcomes,
-its first non-empty round and skip length against the exact single-round
-distribution, its mean rounds against ``expected_rounds``, and its round
-counts against the kernels' at n = 64.
+law instead: its per-node bounds and proposals against the oracle's
+per-node outcomes, its first non-empty round and skip length against the
+exact single-round distribution, its mean rounds against
+``expected_rounds``, and its round counts against the kernels' at n = 64.
 """
 
 import math
@@ -24,7 +24,7 @@ from gossip_sim.generators import (
     directed_weak_lb,
     random_connected_graph,
 )
-from gossip_sim.graph import DirectedGraph, UndirectedGraph
+from gossip_sim.graph import DirectedGraph, UndirectedGraph, transitive_closure
 from gossip_sim.oracle import (
     _node_outcomes,
     connected_graphs_upto,
@@ -48,20 +48,9 @@ Z_MAX = 4.0
 
 
 def _tail(g, kind):
-    return process._TriTail(g) if kind is TRI else process._WalkTail(g)
-
-
-def _engine_split(tail, g, kind, u):
-    """The engine's probability that node u adds each edge in a round."""
     if kind is TRI:
-        nbrs, d = g._adj_sets[u], g.degree(u)
-        return {e: 2 / (d * d) for e in tail.missing if e[0] in nbrs and e[1] in nbrs}
-    row = tail.S[u]
-    return {
-        (u, w) if kind.directed or u < w else (w, u): s / g.degree(u)
-        for w, s in row.items()
-        if s > 0
-    }
+        return process._TriTail(g)
+    return process._WalkTail(g, transitive_closure(g) if kind.directed else None)
 
 
 def _small_graphs(kind, count):
@@ -76,18 +65,36 @@ def _small_graphs(kind, count):
 
 
 @pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
-def test_rates_match_the_oracle_after_every_round(kind):
+def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
+    """After every executed round: each node's bound is at least its exact
+    rate, and its proposals, thinned by the bound, follow the exact
+    per-node law: edge e with p[u][e] / bound[u], none with the rest.  The
+    per-node chi-square statistics are pooled into one test per kind."""
+    proposals = 200
+    stat = dof = 0.0
+    checked = []
+
     def check(tail, g):
-        rate = tail.rate
+        nonlocal stat, dof
+        bound = tail.bound()
+        rng = random.Random(trial_seed(68, len(checked)))
         for u in range(g.n):
             exact = {e: float(p) for e, p in _node_outcomes(g, u, kind).items() if e is not None}
-            split = _engine_split(tail, g, kind, u)
-            assert split.keys() == exact.keys()
-            for e, p in exact.items():
-                assert split[e] == pytest.approx(p, rel=1e-12, abs=0)
-            assert rate[u] == pytest.approx(sum(exact.values()), rel=1e-12, abs=0)
-
-    checked = []
+            rate = sum(exact.values())
+            assert bound[u] >= rate * (1 - 1e-12)
+            if bound[u] == 0:
+                continue
+            counts = Counter(tail.propose(u, rng) for _ in range(proposals))
+            expect = {e: proposals * p / bound[u] for e, p in exact.items()}
+            expect[None] = proposals * (1 - rate / bound[u])
+            assert set(counts) <= set(expect)
+            for e, x in expect.items():
+                if x > 1e-9:
+                    stat += (counts[e] - x) ** 2 / x
+                    dof += 1
+                else:
+                    assert counts[e] == 0
+            dof -= 1
 
     class Checker:
         def begin_round(self, g, index, missing):
@@ -104,6 +111,7 @@ def test_rates_match_the_oracle_after_every_round(kind):
         check(tail, g)
         assert g.edge_count == target
     assert len(checked) > 100
+    assert chi2.sf(stat, dof) > MIN_P
 
 
 def _static_cases():
