@@ -21,6 +21,7 @@ __all__ = [
     "RoundTrace",
     "TraceCollector",
     "smallest_untouched_cut",
+    "PH_STEP_LIMIT",
     "PhTable",
     "ph_constants_ok",
     "ph_recurrence",
@@ -30,6 +31,11 @@ __all__ = [
     "TRACE_CSV_HEADER",
     "traces_to_csv",
 ]
+
+
+# ph_recurrence's budget on T * n^2, about 2 s of recurrence; n >= 4 keeps
+# its n * (T + 1) cells below a quarter of it
+PH_STEP_LIMIT = 10**7
 
 
 class TieClass(Enum):
@@ -194,7 +200,9 @@ def ph_recurrence(
     evaluated at the chain position i that maximizes the increment, which
     makes each q[h] a single majorant valid for every position.  Values
     are clamped to 1.  The constants are checked here, at configuration
-    time.
+    time, and so is the size: the recurrence takes about T * n^2 steps over
+    n * (T + 1) cells, and a T * n^2 beyond PH_STEP_LIMIT is refused before
+    anything is allocated.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -207,6 +215,8 @@ def ph_recurrence(
             f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
             "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5"
         )
+    if T * n * n > PH_STEP_LIMIT:
+        raise ValueError(f"T * n^2 = {T * n * n} exceeds {PH_STEP_LIMIT} recurrence steps")
     scale = 4.0 / (n * n)
     # internal table over all spans 1..n-1; span 1 is the boundary
     q = [[0.0] * (T + 1) for _ in range(n)]

@@ -19,12 +19,13 @@ node order, two per node per round, and a skipped draw (a node or
 first-hop target with no out-neighbors) consumes nothing.
 
 The kernels define the semantics.  ``run_to_convergence`` runs them until
-at most ``TAIL_FACTOR * n`` edges are missing, then hands the run to a tail
-engine that skips the rounds adding no edge exactly: it bounds each
-node's rate from degrees and missing-list sizes, draws the number of
-rounds without a candidate node, and keeps each candidate's one proposed
-edge with the probability that makes the kernels' law exact.  Its round
-counts have the kernels' distribution, from another random stream.
+at most ``TAIL_SHARE`` of the target's edges are missing, then hands the
+run to a tail engine that skips the rounds adding no edge exactly: it caps
+every node's rate by one bound from degree and missing-list extremes,
+jumps by geometric gaps from one candidate (round, node) slot to the
+next, and keeps each candidate's one proposed edge with the probability
+that makes the kernels' law exact.  Its round counts have the kernels'
+distribution, from another random stream.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .graph import (
 
 __all__ = [
     "DEFAULT_MAX_ROUNDS",
-    "TAIL_FACTOR",
+    "TAIL_SHARE",
     "ProcessKind",
     "ProcessConfig",
     "RoundOutcome",
@@ -64,8 +65,8 @@ __all__ = [
 
 DEFAULT_MAX_ROUNDS = 10**7
 # run_to_convergence hands a run to the tail engine once at most
-# TAIL_FACTOR * n edges are missing; set by the converge-large benchmark
-TAIL_FACTOR = 0.5
+# TAIL_SHARE * target edges are missing; set by the converge-large benchmark
+TAIL_SHARE = 1 / 16
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -321,7 +322,7 @@ def run_to_convergence(
     step = round_function(config.kind)
     rounds = 0
     while g.edge_count < target and rounds < config.max_rounds:
-        if target - g.edge_count <= TAIL_FACTOR * g.n:
+        if target - g.edge_count <= TAIL_SHARE * target:
             tri = config.kind is ProcessKind.TRIANGULATION
             tail = _TriTail(g) if tri else _WalkTail(g, closure)
             return tail.run(rng, rounds, config.max_rounds, target, trace_sink)
@@ -340,42 +341,38 @@ class _Tail:
 
     While the graph is static, node u adds missing edge e in a round with
     the kernels' probability p[u][e], independently of the other nodes.
-    Each draw bounds every node's total rate afresh (``bound``); a node is
-    a candidate with probability bound[u] and proposes e with probability
-    p[u][e] / bound[u] (``propose``), so it adds e with p[u][e].  No rate
-    is kept between draws: ``add`` updates the missing lists and the graph.
+    Each draw takes one common cap Q (``cap``) at least every node's bound
+    q_u (``bound``).  Every (round, node) slot is a candidate with
+    probability Q, so the draw jumps from one candidate to the next by
+    geometric gaps (Devroye 1986, ch. 10) at a cost of O(1 + n Q) steps per
+    round.  A candidate is kept with probability q_u / Q and then proposes
+    e with probability p[u][e] / q_u (``propose``), so it adds e with
+    p[u][e].  No rate is kept between draws: ``add`` updates the missing
+    lists and the graph.
     """
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
         """Number of empty rounds before the next round that adds an edge,
         and the edges that round adds, in order; the graph is not changed."""
-        bound = self.bound()
-        active = [u for u, q in enumerate(bound) if q > 0.0]
-        keep = [1.0 - bound[u] for u in active]
-        stay = math.prod(keep)
-        log_stay = math.log(stay) if stay > 0.0 else -math.inf
-        skip = 0
+        n, cap = self.g.n, self.cap()
+        log_stay = math.log1p(-cap) if cap < 1.0 else -math.inf
+        bound, propose = self.bound, self.propose
+        # Slots run over (round, node) in order, each a candidate with
+        # probability cap; ``end`` closes the round of the latest candidate.
+        # A jump past it skips the rounds without one and lands on the next
+        # round's first candidate, conditioned on the round having one.
+        slot, end, edges = -1, 0, []
         while True:
-            skip += int(math.log(1.0 - rng.random()) / log_stay)
-            # A node is a candidate once the running product of (1 - bound)
-            # over the nodes since the last candidate falls to a uniform
-            # threshold.  The first threshold lies in [stay, 1), which
-            # conditions the round on a candidate: the product ends at
-            # exactly ``stay``.
-            threshold = stay + rng.random() * (1.0 - stay)
-            survive = 1.0
-            edges = []
-            for u, k in zip(active, keep):
-                survive *= k
-                if survive <= threshold:
-                    e = self.propose(u, rng)
-                    if e is not None:
-                        edges.append(e)
-                    threshold = rng.random()
-                    survive = 1.0
-            if edges:
-                return skip, list(dict.fromkeys(edges))
-            skip += 1  # every proposal was turned down: an empty round
+            slot += 1 + int(math.log(1.0 - rng.random()) / log_stay)
+            if slot >= end:
+                if edges:
+                    return end // n - 1, list(dict.fromkeys(edges))
+                end = slot - slot % n + n
+            u = slot % n
+            if rng.random() * cap < bound(u):
+                e = propose(u, rng)
+                if e is not None:
+                    edges.append(e)
 
     def run(self, rng, rounds, max_rounds, target, trace_sink) -> tuple[int, bool]:
         g = self.g
@@ -396,15 +393,22 @@ class _Tail:
 
 class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
-    probability 2/d_u^2, and N(u) holds at most min(M, d_u(d_u-1)/2)."""
+    probability 2/d_u^2, and N(u) holds at most min(M, d_u(d_u-1)/2).
+    ``where`` indexes ``missing``, so that a pair leaves it in O(1)."""
 
     def __init__(self, g: UndirectedGraph) -> None:
         self.g, n, nbrs = g, g.n, g._adj_sets
         self.missing = [(a, b) for a in range(n) for b in sorted(set(range(a + 1, n)) - nbrs[a])]
+        self.where = {e: i for i, e in enumerate(self.missing)}
 
-    def bound(self) -> list[float]:
-        m2 = 2 * len(self.missing)
-        return [m2 / (d * d) if d * (d - 1) > m2 else (d - 1) / d for d in map(len, self.g._adj)]
+    def cap(self) -> float:
+        degrees = list(map(len, self.g._adj))
+        low, high = min(degrees), max(degrees)
+        return min(2 * len(self.missing) / (low * low), (high - 1) / high)
+
+    def bound(self, u: int) -> float:
+        d, m2 = len(self.g._adj[u]), 2 * len(self.missing)
+        return m2 / (d * d) if d * (d - 1) > m2 else (d - 1) / d
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # a missing pair inside N(u) comes out with 2/d^2 over the bound:
@@ -426,7 +430,10 @@ class _TriTail(_Tail):
         return skip, edges
 
     def add(self, a: int, b: int) -> None:
-        self.missing.remove((a, b))
+        missing, where = self.missing, self.where
+        i, last = where.pop((a, b)), missing.pop()
+        if i < len(missing):
+            missing[i], where[last] = last, i
         self.g.add_edge(a, b)
 
 
@@ -447,13 +454,16 @@ class _WalkTail(_Tail):
                 for v in out:
                     self.inn[v].append(u)
 
-    def bound(self) -> list[float]:
-        adj, inn = self.g._adj, self.inn
-        self.low = low = min(d for d in map(len, adj) if d)
-        return [
-            min(1.0, sum([len(inn[w]) for w in row]) / (len(a) * low)) if row else 0.0
-            for row, a in zip(self.miss, adj)
-        ]
+    def cap(self) -> float:
+        # refreshes ``low`` for bound and propose; a node with missing
+        # targets has an out-neighbour, so d_u >= low
+        self.low = low = min(filter(None, map(len, self.g._adj)))
+        most = max(map(len, self.miss)) * max(map(len, self.inn))
+        return min(1.0, most / (low * low))
+
+    def bound(self, u: int) -> float:
+        weight = sum(map(len, map(self.inn.__getitem__, self.miss[u])))
+        return min(1.0, weight / (len(self.g._adj[u]) * self.low)) if weight else 0.0
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # w comes out with sum(1/(d_u d_v)) over the bound: w in proportion

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gossip_sim.analysis import (
+    PH_STEP_LIMIT,
     PhTable,
     RoundTrace,
     TieClass,
@@ -213,6 +214,13 @@ class TestPhRecurrence:
             ph_recurrence(10, -1, 2)
         with pytest.raises(ValueError):
             ph_recurrence(10, 5, 1)
+
+    def test_size_beyond_the_step_budget_refused(self):
+        # refused before the n x (T + 1) table is built
+        with pytest.raises(ValueError, match="recurrence steps"):
+            ph_recurrence(10_000, 10**6, 8)
+        with pytest.raises(ValueError, match="recurrence steps"):
+            ph_recurrence(4, PH_STEP_LIMIT // 16 + 1, 2)
 
 
 class TestPhBoundCheck:

@@ -307,6 +307,12 @@ class TestCli:
         ])
         assert code == 2
 
+    def test_analyze_ph_bound_oversized_exits_2(self, capsys):
+        # T = eps * n^2 = 10^8 rounds over 10^5 spans: refused, not allocated
+        code = cli.main(["analyze", "ph-bound", "--n", "100000"])
+        assert code == 2
+        assert "recurrence steps" in capsys.readouterr().err
+
     def test_jobs_env_default(self, monkeypatch):
         monkeypatch.setenv("GOSSIP_SIM_JOBS", "3")
         parser = cli._build_parser()

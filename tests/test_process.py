@@ -323,15 +323,15 @@ class TestReferenceStream:
 
 class TestKernelSeam:
     def test_directed_kernel_is_resolved_at_call_time(self, monkeypatch):
-        # dstrong(16) misses more than TAIL_FACTOR * n arcs of its closure,
-        # so the kernel runs until the tail engine takes over
+        # dstrong(16) misses more than TAIL_SHARE of its closure's arcs, so
+        # the kernel runs until the tail engine takes over
         calls = []
         original = process.directed_twohop_round
         g = directed_strong_lb(16)
         target = process.convergence_target(g, ProcessKind.TWOHOP_DIRECTED)
 
         def spy(g, rng, round_index=0, draw_log=None):
-            assert target - g.edge_count > process.TAIL_FACTOR * g.n
+            assert target - g.edge_count > process.TAIL_SHARE * target
             calls.append(round_index)
             return original(g, rng, round_index, draw_log)
 

@@ -4,7 +4,8 @@ The engine skips the rounds that add no edge, so it draws another random
 stream than the reference kernels.  These tests hold it to the kernels'
 law instead: its per-node bounds and proposals against the oracle's
 per-node outcomes, its first non-empty round and skip length against the
-exact single-round distribution, its mean rounds against
+exact single-round distribution on tiny graphs and against the per-node
+outcomes on graphs with many candidates per round, its mean rounds against
 ``expected_rounds``, and its round counts against the kernels' at n = 64.
 """
 
@@ -66,27 +67,29 @@ def _small_graphs(kind, count):
 
 @pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
 def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
-    """After every executed round: each node's bound is at least its exact
-    rate, and its proposals, thinned by the bound, follow the exact
-    per-node law: edge e with p[u][e] / bound[u], none with the rest.  The
-    per-node chi-square statistics are pooled into one test per kind."""
+    """After every executed round: the common cap is at least each node's
+    bound, the bound at least its exact rate, and its proposals follow the
+    exact per-node law thinned by the bound: edge e with p[u][e] / bound,
+    none with the rest.  The per-node chi-square statistics are pooled into
+    one test per kind."""
     proposals = 200
     stat = dof = 0.0
     checked = []
 
     def check(tail, g):
         nonlocal stat, dof
-        bound = tail.bound()
+        cap = tail.cap()
         rng = random.Random(trial_seed(68, len(checked)))
         for u in range(g.n):
             exact = {e: float(p) for e, p in _node_outcomes(g, u, kind).items() if e is not None}
             rate = sum(exact.values())
-            assert bound[u] >= rate * (1 - 1e-12)
-            if bound[u] == 0:
+            bound = tail.bound(u)
+            assert cap >= bound >= rate * (1 - 1e-12)
+            if bound == 0:
                 continue
             counts = Counter(tail.propose(u, rng) for _ in range(proposals))
-            expect = {e: proposals * p / bound[u] for e, p in exact.items()}
-            expect[None] = proposals * (1 - rate / bound[u])
+            expect = {e: proposals * p / bound for e, p in exact.items()}
+            expect[None] = proposals * (1 - rate / bound)
             assert set(counts) <= set(expect)
             for e, x in expect.items():
                 if x > 1e-9:
@@ -158,19 +161,80 @@ def test_first_nonempty_round_and_skip_match_the_oracle(g, kind):
         assert abs(z) <= Z_MAX
 
 
+def _dense_with_low_nodes():
+    # K40 less a Hamiltonian cycle and three pairs at each of three nodes:
+    # uneven bounds, a few candidates per round, and rounds without one
+    # often enough to show their conditioning in the skip
+    rng = random.Random(trial_seed(69, 0))
+    cut = {(i, i + 1) for i in range(39)} | {(0, 39)}
+    cut |= {(a, b) for b in range(37, 40) for a in rng.sample(range(1, 36), 3)}
+    return UndirectedGraph(40, [e for e in complete_graph(40).edges() if e not in cut])
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (_dense_with_low_nodes, TRI),
+        (_dense_with_low_nodes, HOP),
+        (lambda: directed_weak_lb(32), DHOP),
+    ],
+    ids=["dense40-tri", "dense40-twohop", "dweak32-dtwohop"],
+)
+def test_node_shares_and_skip_match_the_oracle_with_many_candidates(make, kind):
+    """On a static graph where a round holds several candidates (n * cap
+    well above 1): each node adds an edge in the first non-empty round with
+    p_u / (1 - P), and the mean skip is P / (1 - P), P the product of
+    (1 - p_x) over all nodes."""
+    trials = 6000
+    g = make()
+    tail = _tail(g, kind)
+    assert g.n * tail.cap() > 3
+    p = [float(1 - _node_outcomes(g, u, kind).get(None, 0)) for u in range(g.n)]
+    empty = math.prod(1 - x for x in p)
+    adders = []
+    propose = tail.propose
+
+    def spy(u, rng):
+        e = propose(u, rng)
+        if e is not None:
+            adders[-1].add(u)
+        return e
+
+    tail.propose = spy
+    rng = random.Random(trial_seed(70, g.n))
+    skips = []
+    for _ in range(trials):
+        adders.append(set())
+        skips.append(tail.draw(rng)[0])
+    counts = Counter(u for nodes in adders for u in nodes)
+    for u, x in enumerate(p):
+        share = x / (1 - empty)
+        if share == 0:
+            assert counts[u] == 0
+            continue
+        z = (counts[u] - trials * share) / math.sqrt(trials * share * (1 - share))
+        assert abs(z) <= Z_MAX, (u, counts[u], trials * share)
+    mean_skip = empty / (1 - empty)
+    sd_skip = math.sqrt(empty) / (1 - empty)
+    z = (statistics.fmean(skips) - mean_skip) / (sd_skip / math.sqrt(trials))
+    assert abs(z) <= Z_MAX
+
+
 @pytest.mark.parametrize("kind", [TRI, HOP])
 def test_mean_rounds_match_expected_rounds(kind):
-    """Every connected graph with at most 5 nodes; sparse ones run on the
-    kernel before the engine takes over."""
+    """Every connected graph with at most 5 nodes, run by the engine alone
+    from round 0 (``run_to_convergence`` leaves them to the kernels)."""
     trials = 500
     worst = 0.0
     for j, (n, edges) in enumerate(connected_graphs_upto(5)):
         g = UndirectedGraph(n, edges)
         exact = float(expected_rounds(g, kind))
-        rounds = [
-            run_to_convergence(g.copy(), ProcessConfig(kind=kind, seed=trial_seed(65 + j, i)))[0]
-            for i in range(trials)
-        ]
+        target = convergence_target(g, kind)
+        rounds = []
+        for i in range(trials):
+            h, rng = g.copy(), random.Random(trial_seed(65 + j, i))
+            rounds.append(_tail(h, kind).run(rng, 0, 10**6, target, None)[0])
+            assert h.edge_count == target
         sd = statistics.stdev(rounds)
         if sd == 0:
             assert rounds[0] == exact
