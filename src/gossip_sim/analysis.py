@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import add, mul
 
 from .generators import directed_strong_lb
 from .graph import DirectedGraph, UndirectedGraph
@@ -33,8 +35,8 @@ __all__ = [
 ]
 
 
-# ph_recurrence's budget on T * n^2, about 2 s of recurrence; n >= 4 keeps
-# its n * (T + 1) cells below a quarter of it
+# ph_recurrence's budget on T * n^2, about 2 s of recurrence; it holds the
+# (H - 1) * (T + 1) values it returns and two columns of n
 PH_STEP_LIMIT = 10**7
 
 
@@ -200,9 +202,8 @@ def ph_recurrence(
     evaluated at the chain position i that maximizes the increment, which
     makes each q[h] a single majorant valid for every position.  Values
     are clamped to 1.  The constants are checked here, at configuration
-    time, and so is the size: the recurrence takes about T * n^2 steps over
-    n * (T + 1) cells, and a T * n^2 beyond PH_STEP_LIMIT is refused before
-    anything is allocated.
+    time, and so is the size: the recurrence takes about T * n^2 steps, and
+    a T * n^2 beyond PH_STEP_LIMIT is refused before anything is allocated.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -218,36 +219,23 @@ def ph_recurrence(
     if T * n * n > PH_STEP_LIMIT:
         raise ValueError(f"T * n^2 = {T * n * n} exceeds {PH_STEP_LIMIT} recurrence steps")
     scale = 4.0 / (n * n)
-    # internal table over all spans 1..n-1; span 1 is the boundary
-    q = [[0.0] * (T + 1) for _ in range(n)]
-    q[1] = [1.0] * (T + 1)
+    # col[k] = q[k][t] for spans k = 1..n-1 (span 1 is the boundary), updated
+    # from the longest span down, so that the shorter ones still hold q[.][t]
+    col = [0.0, 1.0] + [0.0] * (n - 2)
+    rows = [[0.0] for _ in range(2, H + 1)]
     for t in range(T):
-        # prefix[j] = sum of q[k][t] for k = 1..j
-        prefix = [0.0] * n
-        for k in range(1, n):
-            prefix[k] = prefix[k - 1] + q[k][t]
-
-        def seg(a: int, b: int) -> float:
-            if b < a:
-                return 0.0
-            return prefix[b] - prefix[a - 1]
-
-        for h in range(2, n):
-            middle = sum(q[k][t] * q[h - k][t] for k in range(1, h))
-            best = 0.0
-            for i in range(1, n - h + 1):
-                inc = seg(h + 1, h + i - 1) + seg(h + 1, n - i)
-                if inc > best:
-                    best = inc
-            q[h][t + 1] = min(1.0, q[h][t] + scale * (middle + best))
-    return PhTable(
-        n=n,
-        alpha=alpha,
-        eps=eps,
-        hmax=H,
-        tmax=T,
-        values=[q[h] for h in range(2, H + 1)],
-    )
+        # prefix[j] = sum of col[k] for k = 1..j
+        prefix = list(accumulate(col[1:], initial=0.0))
+        for h in range(n - 1, 1, -1):
+            middle = sum(map(mul, col[1:h], col[h - 1 : 0 : -1]))
+            # increment at position i: the sums of col over h+1..h+i-1 and
+            # over h+1..n-i, each 0.0 where empty; every one is >= 0
+            tail = [prefix[j] - prefix[h] for j in range(h + 1, n)]
+            best = max(map(add, [0.0] + tail, tail[::-1] + [0.0]))
+            col[h] = min(1.0, col[h] + scale * (middle + best))
+        for h, row in enumerate(rows, 2):
+            row.append(col[h])
+    return PhTable(n=n, alpha=alpha, eps=eps, hmax=H, tmax=T, values=rows)
 
 
 def ph_bound_check(table: PhTable) -> bool:

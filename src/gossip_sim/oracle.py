@@ -28,10 +28,8 @@ from .process import (
 )
 
 __all__ = [
-    "CHOICE_SPACE_LIMIT",
-    "MISSING_EDGE_LIMIT",
+    "ORACLE_STEP_LIMIT",
     "OracleIntractableError",
-    "choice_space_size",
     "single_round_distribution",
     "expected_rounds",
     "NonmonotonePair",
@@ -41,8 +39,12 @@ __all__ = [
     "empirical_vs_exact",
 ]
 
-CHOICE_SPACE_LIMIT = 10**7
-MISSING_EDGE_LIMIT = 20
+# Steps one public call may take, each charged before it is taken: n^3 per
+# enumerated round (a node has at most (n-1)^2 choices), one per entry of a
+# joint product, one per census edge mask.  Every connected graph on <= 6
+# nodes is accepted (S6/twohop charges most: 474 810), C7 is not; the slowest
+# accepted call found, the P18 round under twohop, takes 3.7 s (2 vCPUs).
+ORACLE_STEP_LIMIT = 5 * 10**5
 
 Edge = tuple[int, int]
 
@@ -55,21 +57,18 @@ class OracleIntractableError(ValueError):
         self.size = size
 
 
-def choice_space_size(g, kind: ProcessKind) -> int:
-    """Product over nodes of the raw per-node choice count.
+class _Budget:
+    """ORACLE_STEP_LIMIT steps for one public call, charged before the work
+    they pay for; the first charge past the limit refuses the call."""
 
-    Triangulation: degree squared.  Two-hop: number of ordered two-hop
-    walks; for the directed walk a first hop onto a node without
-    out-neighbors counts as a single outcome.
-    """
-    size = 1
-    if kind is ProcessKind.TRIANGULATION:
-        for u in range(g.n):
-            size *= max(1, g.degree(u) ** 2)
-    else:
-        for u in range(g.n):
-            size *= max(1, sum(g.degree(v) or 1 for v in g.neighbors(u)))
-    return size
+    def __init__(self, steps: int) -> None:
+        self.spent = 0
+        self.charge(steps)
+
+    def charge(self, steps: int) -> None:
+        self.spent += steps
+        if self.spent > ORACLE_STEP_LIMIT:
+            raise OracleIntractableError(f"over {ORACLE_STEP_LIMIT} oracle steps", self.spent)
 
 
 def _node_outcomes(g, u: int, kind: ProcessKind) -> dict[Edge | None, Fraction]:
@@ -114,15 +113,18 @@ def single_round_distribution(g, kind: ProcessKind) -> dict[frozenset[Edge], Fra
 
     Enumerates all joint per-node choices under snapshot semantics; the
     probabilities sum to exactly 1.  Refuses a graph of the wrong type for
-    the process, and a raw choice space beyond CHOICE_SPACE_LIMIT.
+    the process, and a round whose enumeration exceeds ORACLE_STEP_LIMIT.
     """
     check_graph_type(g, kind)
-    size = choice_space_size(g, kind)
-    if size > CHOICE_SPACE_LIMIT:
-        raise OracleIntractableError("single-round choice space too large", size)
+    return _round_distribution(g, kind, _Budget(g.n**3))
+
+
+def _round_distribution(g, kind: ProcessKind, budget: _Budget) -> dict[frozenset[Edge], Fraction]:
+    # the caller pays for the enumeration, this loop for each joint product
     acc: dict[frozenset[Edge], Fraction] = {frozenset(): Fraction(1)}
     for u in range(g.n):
         per_node = _node_outcomes(g, u, kind)
+        budget.charge(len(acc) * len(per_node))
         nxt: dict[frozenset[Edge], Fraction] = {}
         for edges, p in acc.items():
             for edge, q in per_node.items():
@@ -142,6 +144,8 @@ def expected_rounds(g, kind: ProcessKind) -> Fraction:
     absorbing chain is solved by back-substitution over masks in
     decreasing integer order.  Refuses what ``run_to_convergence``
     refuses: a graph of the wrong type, or a disconnected undirected one.
+    Charges 2^m n^3 steps for its states up front, m the missing edges,
+    and every state's joint products to the same ORACLE_STEP_LIMIT.
     """
     check_graph_type(g, kind)
     if kind.directed:
@@ -150,8 +154,7 @@ def expected_rounds(g, kind: ProcessKind) -> Fraction:
         if not g.is_connected():
             raise DisconnectedGraphError("undirected input must be connected")
         missing = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
-    if len(missing) > MISSING_EDGE_LIMIT:
-        raise OracleIntractableError("too many missing edges", len(missing))
+    budget = _Budget(g.n**3 << len(missing))
     bit_of = {e: 1 << i for i, e in enumerate(missing)}
     full = (1 << len(missing)) - 1
     expect = [Fraction(0)] * (full + 1)
@@ -160,7 +163,7 @@ def expected_rounds(g, kind: ProcessKind) -> Fraction:
         for edge, bit in bit_of.items():
             if mask & bit:
                 h.add_edge(*edge)
-        dist = single_round_distribution(h, kind)
+        dist = _round_distribution(h, kind, budget)
         # short of the target, some two-edge path has unjoined ends, so the
         # round can add an edge
         stay = dist.pop(frozenset(), 0)
@@ -204,7 +207,11 @@ def _census(n: int) -> dict[tuple[Edge, ...], tuple[Edge, ...]]:
 
 def connected_graphs_upto(max_n: int):
     """All connected graphs with 2..max_n nodes, one per isomorphism class,
-    as (n, edge_tuple) pairs in deterministic order."""
+    as (n, edge_tuple) pairs in deterministic order.  Charges its
+    2^(n(n-1)/2) edge masks per n up front, so max_n >= 7 is refused."""
+    budget = _Budget(0)
+    for n in range(2, max_n + 1):
+        budget.charge(1 << n * (n - 1) // 2)
     classes = {(n, canon) for n in range(2, max_n + 1) for canon in _census(n).values()}
     return sorted(classes, key=lambda c: (c[0], len(c[1]), c[1]))
 

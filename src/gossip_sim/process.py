@@ -34,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .graph import (
     DirectedGraph,
@@ -320,19 +321,33 @@ def run_to_convergence(
         raise DisconnectedGraphError("undirected input must be connected")
     rng = random.Random(config.seed)
     step = round_function(config.kind)
-    rounds = 0
-    while g.edge_count < target and rounds < config.max_rounds:
-        if target - g.edge_count <= TAIL_SHARE * target:
-            tri = config.kind is ProcessKind.TRIANGULATION
-            tail = _TriTail(g) if tri else _WalkTail(g, closure)
-            return tail.run(rng, rounds, config.max_rounds, target, trace_sink)
+    rounds, tail = 0, None
+    while g.edge_count < target:
+        if tail is None and target - g.edge_count <= TAIL_SHARE * target:
+            tail = _tail(g, config.kind, closure)
+        if tail is not None:
+            skip, edges = tail.draw(rng)
+            rounds += skip
+        if rounds >= config.max_rounds:
+            return config.max_rounds, True
         if trace_sink is not None:
             trace_sink.begin_round(g, rounds, target - g.edge_count)
-        outcome = step(g, rng, round_index=rounds)
+        if tail is None:
+            outcome = step(g, rng, round_index=rounds)
+        else:
+            for a, b in edges:
+                tail.add(a, b)
+            outcome = RoundOutcome(rounds, edges, g.edge_count)
         if trace_sink is not None:
             trace_sink.end_round(outcome)
         rounds += 1
-    return rounds, g.edge_count < target
+    return rounds, False
+
+
+def _tail(g, kind: ProcessKind, closure: DirectedGraph | None) -> _Tail:
+    """The tail engine for ``kind`` on ``g``; ``closure`` is the directed
+    walk's convergence target and None for the undirected kinds."""
+    return _TriTail(g) if kind is ProcessKind.TRIANGULATION else _WalkTail(g, closure)
 
 
 class _Tail:
@@ -373,23 +388,6 @@ class _Tail:
                 e = propose(u, rng)
                 if e is not None:
                     edges.append(e)
-
-    def run(self, rng, rounds, max_rounds, target, trace_sink) -> tuple[int, bool]:
-        g = self.g
-        while g.edge_count < target:
-            skip, edges = self.draw(rng)
-            rounds += skip
-            if rounds >= max_rounds:
-                return max_rounds, True
-            if trace_sink is not None:
-                trace_sink.begin_round(g, rounds, target - g.edge_count)
-            for a, b in edges:
-                self.add(a, b)
-            if trace_sink is not None:
-                trace_sink.end_round(RoundOutcome(rounds, edges, g.edge_count))
-            rounds += 1
-        return rounds, False
-
 
 class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
@@ -442,24 +440,29 @@ class _WalkTail(_Tail):
     sum(1/(d_u d_v)) over v in N+(u) & N-(w), at most |N-(w)| / (d_u low)
     with ``low`` the least positive out-degree.  ``miss[u]`` lists the
     missing targets of u, on a digraph the arcs of the ``closure`` not yet
-    present, and ``inn[w]`` the in-neighbours of w."""
+    present, ``inn[w]`` the in-neighbours of w, and ``wanted[w]`` is true
+    while some node misses w (on a digraph a count of those nodes, on an
+    undirected graph ``miss[w]`` itself)."""
 
     def __init__(self, g, closure: DirectedGraph | None) -> None:
         self.g, self.directed = g, closure is not None
         reach = closure._adj_sets if self.directed else [set(range(g.n))] * g.n
         self.miss = [sorted(r - s - {u}) for u, (r, s) in enumerate(zip(reach, g._adj_sets))]
-        self.inn = [[] for _ in range(g.n)] if self.directed else g._adj
+        self.inn, self.wanted = g._adj, self.miss
         if self.directed:
+            self.inn, self.wanted = [[] for _ in range(g.n)], [0] * g.n
             for u, out in enumerate(g._adj):
                 for v in out:
                     self.inn[v].append(u)
+                for w in self.miss[u]:
+                    self.wanted[w] += 1
 
     def cap(self) -> float:
         # refreshes ``low`` for bound and propose; a node with missing
-        # targets has an out-neighbour, so d_u >= low
+        # targets has an out-neighbour, so d_u >= low; its targets are wanted
         self.low = low = min(filter(None, map(len, self.g._adj)))
-        most = max(map(len, self.miss)) * max(map(len, self.inn))
-        return min(1.0, most / (low * low))
+        most = max(map(len, compress(self.inn, self.wanted)), default=0)
+        return min(1.0, max(map(len, self.miss)) * most / (low * low))
 
     def bound(self, u: int) -> float:
         weight = sum(map(len, map(self.inn.__getitem__, self.miss[u])))
@@ -488,6 +491,7 @@ class _WalkTail(_Tail):
         self.miss[a].remove(b)
         if self.directed:
             self.inn[b].append(a)
+            self.wanted[b] -= 1
         else:
             self.miss[b].remove(a)
         self.g.add_edge(a, b)

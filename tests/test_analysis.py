@@ -196,6 +196,24 @@ class TestPhRecurrence:
             assert all(b >= a for a, b in zip(values, values[1:]))
             assert all(0.0 <= v <= 1.0 for v in values)
 
+    def test_values_pinned(self):
+        # recorded from the full-table recurrence; the one-column form must
+        # give the same floats
+        table = ph_recurrence(100, 100, 8)
+        assert table.q(2, 1) == 0.0004
+        assert table.q(2, 100) == 0.04004268018886044
+        assert table.q(5, 50) == 1.4657498310207186e-07
+        assert table.q(8, 100) == 1.4674532685059498e-10
+        table = ph_recurrence(32, 10, 3)
+        assert table.q(2, 10) == 0.039091778378981104
+        assert table.q(3, 10) == 0.0013743466772805856
+        # at n = 8 the longer spans fill within T, so the best position's
+        # increment shows in every span
+        table = ph_recurrence(8, 40, 6)
+        assert table.q(2, 4) == 0.2542247772216797
+        assert table.q(4, 10) == 0.24038913216144503
+        assert table.q(6, 15) == 0.917668278010723
+
     def test_values_clamp_at_one(self):
         table = ph_recurrence(4, 200, 3)
         assert table.q(2, 200) == 1.0
@@ -216,7 +234,7 @@ class TestPhRecurrence:
             ph_recurrence(10, 5, 1)
 
     def test_size_beyond_the_step_budget_refused(self):
-        # refused before the n x (T + 1) table is built
+        # refused before anything is allocated
         with pytest.raises(ValueError, match="recurrence steps"):
             ph_recurrence(10_000, 10**6, 8)
         with pytest.raises(ValueError, match="recurrence steps"):

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import gossip_sim
 
@@ -20,3 +23,20 @@ def test_every_export_exists():
             for alias in node.names:
                 assert alias.name in module.__all__, f"{node.module}.{alias.name}"
                 assert hasattr(gossip_sim, alias.name)
+
+
+def test_importing_the_package_loads_neither_numpy_nor_scipy():
+    """NumPy alone adds about 14 MB of resident memory to a run; only the
+    functions that need SciPy import it, when they are called."""
+    code = (
+        "import sys, gossip_sim, gossip_sim.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    )
+    src = os.path.dirname(os.path.dirname(gossip_sim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -11,11 +11,12 @@ from gossip_sim.generators import (
     path_graph,
     star_graph,
 )
+from gossip_sim import oracle
 from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph
 from gossip_sim.oracle import (
+    ORACLE_STEP_LIMIT,
     OracleIntractableError,
     canonical_form,
-    choice_space_size,
     connected_graphs_upto,
     empirical_vs_exact,
     expected_rounds,
@@ -147,11 +148,31 @@ class TestSingleRoundDistribution:
         assert all(isinstance(p, Fraction) for p in dist.values())
 
     def test_refusal_reports_size(self):
-        g = complete_graph(12)
+        # the round's enumeration, n^3 steps, is charged before it starts
+        n = round(ORACLE_STEP_LIMIT ** (1 / 3)) + 1
         with pytest.raises(OracleIntractableError) as err:
-            single_round_distribution(g, TRI)
-        assert err.value.size == choice_space_size(g, TRI)
-        assert err.value.size == 11 ** 24
+            single_round_distribution(path_graph(n), TRI)
+        assert err.value.size == n**3 > ORACLE_STEP_LIMIT
+
+    @pytest.mark.parametrize("kind", [TRI, HOP], ids=["tri", "twohop"])
+    def test_few_outcomes_accepted_whatever_the_choice_count(self, kind):
+        # K8 less an edge: 7^14 triangulation draws, but two outcomes
+        g = UndirectedGraph(8, [e for e in complete_graph(8).edges() if e != (0, 1)])
+        dist = single_round_distribution(g, kind)
+        assert set(dist) == {frozenset(), frozenset({(0, 1)})}
+        assert sum(dist.values()) == 1
+
+    def test_refused_mid_enumeration(self, monkeypatch):
+        # P8 under tri: 8^3 up front, then joint products of
+        # 1, 2, 4, 8, 16, 32, 64 and 64 entries as six inner nodes each
+        # close their pair or not
+        cost = 8**3 + 191
+        monkeypatch.setattr(oracle, "ORACLE_STEP_LIMIT", cost - 1)
+        with pytest.raises(OracleIntractableError) as err:
+            single_round_distribution(path_graph(8), TRI)
+        assert err.value.size == cost
+        monkeypatch.setattr(oracle, "ORACLE_STEP_LIMIT", cost)
+        assert len(single_round_distribution(path_graph(8), TRI)) == 2**6
 
 
 class TestExpectedRounds:
@@ -197,6 +218,17 @@ class TestExpectedRounds:
         with pytest.raises(OracleIntractableError):
             expected_rounds(path_graph(8), TRI)
 
+    @pytest.mark.parametrize("kind", [TRI, HOP], ids=["tri", "twohop"])
+    def test_states_charged_before_any_is_computed(self, kind, monkeypatch):
+        def no_round(*args):
+            raise AssertionError("a state was computed")
+
+        monkeypatch.setattr(oracle, "_round_distribution", no_round)
+        # C8: 2^20 states of 8^3 steps each
+        with pytest.raises(OracleIntractableError) as err:
+            expected_rounds(cycle_graph(8), kind)
+        assert err.value.size == 8**3 << 20
+
     def test_finite_for_all_tractable_connected_graphs(self):
         for n, edges in connected_graphs_upto(5):
             g = UndirectedGraph(n, edges)
@@ -239,6 +271,15 @@ class TestCanonicalForms:
         assert len([g for g in graphs if g[0] == 4]) == 6
         assert len([g for g in graphs if g[0] == 5]) == 21
         assert all(canonical_form(n, edges) == (n, edges) for n, edges in graphs)
+
+    def test_census_refused_before_it_starts(self):
+        # seven nodes alone are 2^21 edge masks
+        with pytest.raises(OracleIntractableError) as err:
+            connected_graphs_upto(7)
+        assert err.value.size == sum(1 << n * (n - 1) // 2 for n in range(2, 8))
+        # charged one n at a time, so a huge max_n is refused as fast
+        with pytest.raises(OracleIntractableError):
+            connected_graphs_upto(10**9)
 
 
 class TestNonmonotoneSearch:

@@ -48,10 +48,8 @@ MIN_P = 1e-3
 Z_MAX = 4.0
 
 
-def _tail(g, kind):
-    if kind is TRI:
-        return process._TriTail(g)
-    return process._WalkTail(g, transitive_closure(g) if kind.directed else None)
+def _closure(g, kind):
+    return transitive_closure(g) if kind.directed else None
 
 
 def _small_graphs(kind, count):
@@ -67,9 +65,10 @@ def _small_graphs(kind, count):
 
 @pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
 def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
-    """After every executed round: the common cap is at least each node's
-    bound, the bound at least its exact rate, and its proposals follow the
-    exact per-node law thinned by the bound: edge e with p[u][e] / bound,
+    """After every executed round: the walks mark as wanted exactly the
+    nodes still missed, the common cap is at least each node's bound, the
+    bound at least its exact rate, and its proposals follow the exact
+    per-node law thinned by the bound: edge e with p[u][e] / bound,
     none with the rest.  The per-node chi-square statistics are pooled into
     one test per kind."""
     proposals = 200
@@ -79,6 +78,10 @@ def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
     def check(tail, g):
         nonlocal stat, dof
         cap = tail.cap()
+        if kind is not TRI:
+            # the walk's cap reads in-degrees only of the nodes still missed
+            missed = {w for targets in tail.miss for w in targets}
+            assert [bool(x) for x in tail.wanted] == [w in missed for w in range(g.n)]
         rng = random.Random(trial_seed(68, len(checked)))
         for u in range(g.n):
             exact = {e: float(p) for e, p in _node_outcomes(g, u, kind).items() if e is not None}
@@ -99,18 +102,16 @@ def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
                     assert counts[e] == 0
             dof -= 1
 
-    class Checker:
-        def begin_round(self, g, index, missing):
-            check(tail, g)
-            checked.append(index)
-
-        def end_round(self, outcome):
-            pass
-
     for i, g in enumerate(_small_graphs(kind, 40)):
         target = convergence_target(g, kind)
-        tail = _tail(g, kind)
-        tail.run(random.Random(trial_seed(63, i)), 0, 10**6, target, Checker())
+        tail = process._tail(g, kind, _closure(g, kind))
+        rng = random.Random(trial_seed(63, i))
+        while g.edge_count < target:
+            edges = tail.draw(rng)[1]
+            check(tail, g)
+            checked.append(g.edge_count)
+            for a, b in edges:
+                tail.add(a, b)
         check(tail, g)
         assert g.edge_count == target
     assert len(checked) > 100
@@ -137,7 +138,7 @@ def test_first_nonempty_round_and_skip_match_the_oracle(g, kind):
     trials = 10_000
     dist = single_round_distribution(g, kind)
     empty = float(dist.pop(frozenset()))
-    tail = _tail(g, kind)
+    tail = process._tail(g, kind, _closure(g, kind))
     rng = random.Random(trial_seed(64, g.n * 100 + g.edge_count))
     counts: Counter = Counter()
     skips = []
@@ -171,24 +172,35 @@ def _dense_with_low_nodes():
     return UndirectedGraph(40, [e for e in complete_graph(40).edges() if e not in cut])
 
 
+def _dense_digraph():
+    # the complete digraph on 40 nodes less a directed Hamiltonian cycle and
+    # three arcs out of each of three nodes: strongly connected, so the
+    # closure is complete, and n * cap = 5.0 candidates per round
+    rng = random.Random(trial_seed(71, 0))
+    cut = {(i, (i + 1) % 40) for i in range(40)}
+    cut |= {(a, b) for a in range(37, 40) for b in rng.sample(range(36), 3)}
+    arcs = [(a, b) for a in range(40) for b in range(40) if a != b and (a, b) not in cut]
+    return DirectedGraph(40, arcs)
+
+
 @pytest.mark.parametrize(
     "make, kind",
     [
         (_dense_with_low_nodes, TRI),
         (_dense_with_low_nodes, HOP),
-        (lambda: directed_weak_lb(32), DHOP),
+        (_dense_digraph, DHOP),
     ],
-    ids=["dense40-tri", "dense40-twohop", "dweak32-dtwohop"],
+    ids=["dense40-tri", "dense40-twohop", "dense40-dtwohop"],
 )
 def test_node_shares_and_skip_match_the_oracle_with_many_candidates(make, kind):
-    """On a static graph where a round holds several candidates (n * cap
-    well above 1): each node adds an edge in the first non-empty round with
-    p_u / (1 - P), and the mean skip is P / (1 - P), P the product of
-    (1 - p_x) over all nodes."""
+    """On a static graph where a round holds several candidates but not
+    every slot is one (3 < n * cap < n): each node adds an edge in the
+    first non-empty round with p_u / (1 - P), and the mean skip is
+    P / (1 - P), P the product of (1 - p_x) over all nodes."""
     trials = 6000
     g = make()
-    tail = _tail(g, kind)
-    assert g.n * tail.cap() > 3
+    tail = process._tail(g, kind, _closure(g, kind))
+    assert 3 < g.n * tail.cap() < g.n
     p = [float(1 - _node_outcomes(g, u, kind).get(None, 0)) for u in range(g.n)]
     empty = math.prod(1 - x for x in p)
     adders = []
@@ -221,19 +233,22 @@ def test_node_shares_and_skip_match_the_oracle_with_many_candidates(make, kind):
 
 
 @pytest.mark.parametrize("kind", [TRI, HOP])
-def test_mean_rounds_match_expected_rounds(kind):
-    """Every connected graph with at most 5 nodes, run by the engine alone
-    from round 0 (``run_to_convergence`` leaves them to the kernels)."""
+def test_mean_rounds_match_expected_rounds(kind, monkeypatch):
+    """Every connected graph with at most 5 nodes, and C6, run by the engine
+    alone from round 0 (with the default ``TAIL_SHARE``,
+    ``run_to_convergence`` leaves them to the kernels)."""
+    monkeypatch.setattr(process, "TAIL_SHARE", 1)
     trials = 500
     worst = 0.0
-    for j, (n, edges) in enumerate(connected_graphs_upto(5)):
+    graphs = connected_graphs_upto(5) + [(6, tuple(cycle_graph(6).edges()))]
+    for j, (n, edges) in enumerate(graphs):
         g = UndirectedGraph(n, edges)
         exact = float(expected_rounds(g, kind))
         target = convergence_target(g, kind)
         rounds = []
         for i in range(trials):
-            h, rng = g.copy(), random.Random(trial_seed(65 + j, i))
-            rounds.append(_tail(h, kind).run(rng, 0, 10**6, target, None)[0])
+            h = g.copy()
+            rounds.append(run_to_convergence(h, ProcessConfig(kind, trial_seed(65 + j, i)))[0])
             assert h.edge_count == target
         sd = statistics.stdev(rounds)
         if sd == 0:
