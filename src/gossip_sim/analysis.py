@@ -283,13 +283,14 @@ def chain_span_presence(
     per_trial: dict[tuple[int, int], list[float]] = {
         (h, t): [] for h in spans for t in range(rounds + 1)
     }
+    start = directed_strong_lb(n)
     for trial in range(trials):
-        g = directed_strong_lb(n)
+        g = start.copy()
         rng = random.Random(trial_seed(master_seed, trial))
         for t in range(rounds + 1):
             for h in spans:
                 pos = positions[h]
-                present = sum(1 for i in pos if g.has_edge(i - 1, i + h - 1))
+                present = sum(1 for i in pos if i + h - 1 in g._adj_sets[i - 1])
                 per_trial[(h, t)].append(present / len(pos))
             if t < rounds:
                 directed_twohop_round(g, rng, round_index=t)

@@ -1,10 +1,10 @@
 """Exact ground truth for tiny instances.
 
-Everything here works by exhaustive enumeration in exact fractions: the
-distribution of edges added in a single round, expected convergence times
-via the absorbing Markov chain over edge-supersets, and an exhaustive
-search for graph/subgraph pairs where more initial edges mean slower
-convergence.
+Everything here is exact, by exhaustive enumeration: the distribution of
+edges one round adds (integer weights over one denominator per round), the
+expected convergence time via the absorbing Markov chain over edge-supersets
+(one ``Fraction`` sum per state over its outcomes), and a search for
+graph/subgraph pairs where more initial edges mean slower convergence.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ __all__ = [
 # Steps one public call may take, each charged before it is taken: n^3 per
 # enumerated round (a node has at most (n-1)^2 choices), one per entry of a
 # joint product, one per census edge mask.  Every connected graph on <= 6
-# nodes is accepted (S6/twohop charges most: 474 810), C7 is not; the slowest
-# accepted call found, the P18 round under twohop, takes 3.7 s (2 vCPUs).
+# nodes is accepted (S6/twohop charges most: 474 810, in 0.7 s), C7 is not;
+# the slowest accepted call found, the P18 round under twohop, takes 1.0 s,
+# and the P19/twohop round is refused after 0.8 s (2 vCPUs, Python 3.11).
 ORACLE_STEP_LIMIT = 5 * 10**5
 
 Edge = tuple[int, int]
@@ -71,41 +72,41 @@ class _Budget:
             raise OracleIntractableError(f"over {ORACLE_STEP_LIMIT} oracle steps", self.spent)
 
 
-def _node_outcomes(g, u: int, kind: ProcessKind) -> dict[Edge | None, Fraction]:
-    """Map from edge-or-None to the probability node u produces it."""
-    outcomes: dict[Edge | None, Fraction] = {}
+def _node_outcomes(g, u: int, kind: ProcessKind) -> tuple[dict[Edge | None, int], int]:
+    """Integer weight of each edge-or-None node u produces, and their total:
+    d^2 for triangulation, d * lcm(positive out-degrees in N(u)) for the walks."""
+    adj, adj_sets = g._adj, g._adj_sets
+    outcomes: dict[Edge | None, int] = {}
 
-    def put(edge: Edge | None, p: Fraction) -> None:
-        outcomes[edge] = outcomes.get(edge, 0) + p
+    def put(edge: Edge | None, w: int) -> None:
+        outcomes[edge] = outcomes.get(edge, 0) + w
 
-    nbrs = g.neighbors(u)
+    nbrs = adj[u]
     d = len(nbrs)
     if d == 0:
         # like the kernels: a sink skips its draw, an isolated node is an error
         if not kind.directed:
             raise IsolatedNodeError(u)
-        put(None, Fraction(1))
-    elif kind is ProcessKind.TRIANGULATION:
-        p = Fraction(1, d * d)
+        return {None: 1}, 1
+    if kind is ProcessKind.TRIANGULATION:
         for v in nbrs:
             for w in nbrs:
-                if v == w or g.has_edge(v, w):
-                    put(None, p)
-                else:
-                    put((min(v, w), max(v, w)), p)
-    else:
-        for v in nbrs:
-            second = g.neighbors(v)
-            if not second:
-                put(None, Fraction(1, d))
-                continue
-            p = Fraction(1, d * len(second))
-            for w in second:
-                if w == u or g.has_edge(u, w):
-                    put(None, p)
-                else:
-                    put((u, w) if kind.directed or u < w else (w, u), p)
-    return outcomes
+                put(None if v == w or w in adj_sets[v] else (min(v, w), max(v, w)), 1)
+        return outcomes, d * d
+    # lcm() of no degrees is 1: every out-neighbour is a sink
+    lcm = math.lcm(*filter(None, map(len, map(adj.__getitem__, nbrs))))
+    for v in nbrs:
+        second = adj[v]
+        if not second:
+            put(None, lcm)
+            continue
+        share = lcm // len(second)
+        for w in second:
+            if w == u or w in adj_sets[u]:
+                put(None, share)
+            else:
+                put((u, w) if kind.directed or u < w else (w, u), share)
+    return outcomes, d * lcm
 
 
 def single_round_distribution(g, kind: ProcessKind) -> dict[frozenset[Edge], Fraction]:
@@ -116,23 +117,25 @@ def single_round_distribution(g, kind: ProcessKind) -> dict[frozenset[Edge], Fra
     the process, and a round whose enumeration exceeds ORACLE_STEP_LIMIT.
     """
     check_graph_type(g, kind)
-    return _round_distribution(g, kind, _Budget(g.n**3))
+    weights, total = _round_distribution(g, kind, _Budget(g.n**3))
+    return {edges: Fraction(w, total) for edges, w in weights.items()}
 
 
-def _round_distribution(g, kind: ProcessKind, budget: _Budget) -> dict[frozenset[Edge], Fraction]:
-    # the caller pays for the enumeration, this loop for each joint product
-    acc: dict[frozenset[Edge], Fraction] = {frozenset(): Fraction(1)}
+def _round_distribution(g, kind: ProcessKind, budget: _Budget) -> tuple[dict, int]:
+    # integer weights of each added edge set, and their total; the caller
+    # pays for the enumeration, this loop for each joint product
+    acc, total = {frozenset(): 1}, 1
     for u in range(g.n):
-        per_node = _node_outcomes(g, u, kind)
+        per_node, node_total = _node_outcomes(g, u, kind)
         budget.charge(len(acc) * len(per_node))
-        nxt: dict[frozenset[Edge], Fraction] = {}
+        nxt: dict[frozenset[Edge], int] = {}
         for edges, p in acc.items():
             for edge, q in per_node.items():
                 key = edges if edge is None else edges | {edge}
                 nxt[key] = nxt.get(key, 0) + p * q
-        acc = nxt
-    assert sum(acc.values()) == 1
-    return acc
+        acc, total = nxt, total * node_total
+    assert sum(acc.values()) == total
+    return acc, total
 
 
 def expected_rounds(g, kind: ProcessKind) -> Fraction:
@@ -163,15 +166,15 @@ def expected_rounds(g, kind: ProcessKind) -> Fraction:
         for edge, bit in bit_of.items():
             if mask & bit:
                 h.add_edge(*edge)
-        dist = _round_distribution(h, kind, budget)
+        dist, total = _round_distribution(h, kind, budget)
         # short of the target, some two-edge path has unjoined ends, so the
         # round can add an edge
         stay = dist.pop(frozenset(), 0)
-        assert stay < 1
-        acc = 1 + sum(
-            p * expect[mask | sum(bit_of[e] for e in edges)] for edges, p in dist.items()
+        assert stay < total
+        acc = total + sum(
+            w * expect[mask | sum(bit_of[e] for e in edges)] for edges, w in dist.items()
         )
-        expect[mask] = acc / (1 - stay)
+        expect[mask] = acc / (total - stay)
     return expect[0]
 
 

@@ -279,6 +279,20 @@ class TestChainSpanPresence:
                 assert se >= 0.0
             assert freqs[(h, 0)][0] == 0.0
 
+    def test_values_pinned(self):
+        # recorded with a fresh instance built per trial; copying one built
+        # instance must give the same floats
+        assert chain_span_presence(8, rounds=3, trials=40, master_seed=5) == {
+            (2, 0): (0.0, 0.0),
+            (2, 1): (0.03333333333333333, 0.019971489650509246),
+            (2, 2): (0.058333333333333334, 0.023532422926144436),
+            (2, 3): (0.08333333333333334, 0.0286197190602619),
+            (3, 0): (0.0, 0.0),
+            (3, 1): (0.0, 0.0),
+            (3, 2): (0.0, 0.0),
+            (3, 3): (0.0, 0.0),
+        }
+
     @pytest.mark.parametrize("n, trials", [(4, 10), (8, 1)], ids=["no-span-3", "one-trial"])
     def test_refuses_inputs_without_an_estimate(self, n, trials):
         with pytest.raises(ValueError, match="n >= 6 and trials >= 2"):

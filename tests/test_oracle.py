@@ -147,6 +147,19 @@ class TestSingleRoundDistribution:
         }
         assert all(isinstance(p, Fraction) for p in dist.values())
 
+    def test_node_with_only_sink_out_neighbours_pinned(self):
+        # node 2's out-neighbours 3 and 4 are both sinks: its walk weights
+        # have an empty lcm; values recorded with per-entry fractions
+        g = DirectedGraph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (0, 2)])
+        assert single_round_distribution(g, DHOP) == {
+            frozenset({(1, 3)}): Fraction(1, 4),
+            frozenset({(1, 4)}): Fraction(1, 4),
+            frozenset({(0, 3), (1, 3)}): Fraction(1, 8),
+            frozenset({(0, 3), (1, 4)}): Fraction(1, 8),
+            frozenset({(0, 4), (1, 3)}): Fraction(1, 8),
+            frozenset({(0, 4), (1, 4)}): Fraction(1, 8),
+        }
+
     def test_refusal_reports_size(self):
         # the round's enumeration, n^3 steps, is charged before it starts
         n = round(ORACLE_STEP_LIMIT ** (1 / 3)) + 1
@@ -189,6 +202,20 @@ class TestExpectedRounds:
         diamond = UndirectedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert expected_rounds(diamond, TRI) == Fraction(81, 32)
         assert expected_rounds(cycle_graph(4), TRI) == Fraction(499, 240)
+
+    def test_five_node_values_pinned(self):
+        # recorded with per-entry fractions; the trees and K5 less an edge
+        # are not among the five-node witnesses pinned below
+        assert expected_rounds(path_graph(5), TRI) == Fraction(
+            25688574313878605, 2798751489906372)
+        assert expected_rounds(path_graph(5), HOP) == Fraction(
+            350950692649274078626226981002237189, 55729338367674890037405933370464125)
+        assert expected_rounds(star_graph(5), TRI) == Fraction(1856935955354, 166425924665)
+        assert expected_rounds(star_graph(5), HOP) == Fraction(
+            95596573260917256058123464, 17711423294673541598732875)
+        k5_less_edge = UndirectedGraph(5, [e for e in complete_graph(5).edges() if e != (3, 4)])
+        assert expected_rounds(k5_less_edge, TRI) == Fraction(512, 169)
+        assert expected_rounds(k5_less_edge, HOP) == Fraction(16, 7)
 
     def test_isomorphism_invariance(self):
         relabeled = UndirectedGraph(4, [(2, 0), (0, 3), (3, 1)])

@@ -13,6 +13,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from scipy.stats import chi2, ks_2samp, mannwhitneyu
@@ -84,7 +85,8 @@ def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
             assert [bool(x) for x in tail.wanted] == [w in missed for w in range(g.n)]
         rng = random.Random(trial_seed(68, len(checked)))
         for u in range(g.n):
-            exact = {e: float(p) for e, p in _node_outcomes(g, u, kind).items() if e is not None}
+            weights, total = _node_outcomes(g, u, kind)
+            exact = {e: float(Fraction(w, total)) for e, w in weights.items() if e is not None}
             rate = sum(exact.values())
             bound = tail.bound(u)
             assert cap >= bound >= rate * (1 - 1e-12)
@@ -201,7 +203,8 @@ def test_node_shares_and_skip_match_the_oracle_with_many_candidates(make, kind):
     g = make()
     tail = process._tail(g, kind, _closure(g, kind))
     assert 3 < g.n * tail.cap() < g.n
-    p = [float(1 - _node_outcomes(g, u, kind).get(None, 0)) for u in range(g.n)]
+    p = [float(1 - Fraction(w.get(None, 0), total))
+         for w, total in (_node_outcomes(g, u, kind) for u in range(g.n))]
     empty = math.prod(1 - x for x in p)
     adders = []
     propose = tail.propose
