@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="post-process results")
     asub = analyze.add_subparsers(dest="analyze_command", required=True)
 
-    scaling = asub.add_parser("scaling", help="normalized medians and trend verdicts")
+    scaling = asub.add_parser("scaling", help="normalized medians per size")
     scaling.add_argument("--in", dest="input", required=True)
 
     ph = asub.add_parser("ph-bound", help="check the span-probability recurrence bound")

@@ -117,15 +117,7 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
     else:
         outcomes = [_run_one(t) for t in tasks]
     return [
-        TrialRow(
-            family=spec.family,
-            n=n,
-            process=spec.kind.value,
-            trial=index % spec.trials,
-            seed=seed,
-            rounds=rounds,
-            capped=capped,
-        )
+        TrialRow(spec.family, n, spec.kind.value, index % spec.trials, seed, rounds, capped)
         for index, ((_, n, seed), (rounds, capped)) in enumerate(zip(tasks, outcomes))
     ]
 
@@ -209,44 +201,26 @@ def aggregates_to_csv(aggs: list[AggregateRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trend(values: list[float]) -> str:
-    nondecreasing = all(b >= a for a, b in zip(values, values[1:]))
-    nonincreasing = all(b <= a for a, b in zip(values, values[1:]))
-    if nondecreasing and nonincreasing:
-        return "constant"
-    if nondecreasing:
-        return "nondecreasing"
-    if nonincreasing:
-        return "nonincreasing"
-    return "mixed"
-
-
 def scaling_report(rows: list[TrialRow]) -> dict:
-    """Normalized-median table plus a monotonic trend verdict per ratio.
+    """Normalized-median table per (family, process), sizes ascending.
 
     The three normalizations target the known growth orders: n log n
     (undirected lower bound), n log^2 n (undirected upper bound), and
-    n^2 (directed bounds).  A verdict describes the sample and tests no
+    n^2 (directed bounds).  The ratios describe the sample and test no
     bound: at these sizes a Theta(n log n) process can show a falling
     n log n ratio, as the coupon collector does.
     """
-    aggs = aggregate_rows(rows)
-    report: dict = {}
-    groups: dict[tuple[str, str], list[AggregateRow]] = {}
-    for a in aggs:
-        groups.setdefault((a.family, a.process), []).append(a)
-    for (family, process), members in sorted(groups.items()):
-        members.sort(key=lambda a: a.n)
-        entry = {
+    groups: dict[str, list[AggregateRow]] = {}
+    # aggregate_rows sorts by (family, process, n)
+    for a in aggregate_rows(rows):
+        groups.setdefault(f"{a.family}/{a.process}", []).append(a)
+    return {
+        key: {
             "sizes": [a.n for a in members],
             "median": [a.median for a in members],
             "per_n_log_n": [a.per_n_log_n for a in members],
             "per_n_log2_n": [a.per_n_log2_n for a in members],
             "per_n_sq": [a.per_n_sq for a in members],
         }
-        entry["trend"] = {
-            key: _trend(entry[key])
-            for key in ("per_n_log_n", "per_n_log2_n", "per_n_sq")
-        }
-        report[f"{family}/{process}"] = entry
-    return report
+        for key, members in groups.items()
+    }

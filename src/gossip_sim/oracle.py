@@ -4,7 +4,9 @@ Everything here is exact, by exhaustive enumeration: the distribution of
 edges one round adds (integer weights over one denominator per round), the
 expected convergence time via the absorbing Markov chain over edge-supersets
 (one ``Fraction`` sum per state over its outcomes), and a search for
-graph/subgraph pairs where more initial edges mean slower convergence.
+graph/subgraph pairs where more initial edges mean slower convergence, over
+the same chain lumped by isomorphism class (each class valued once).  One
+step budget, ``ORACLE_STEP_LIMIT``, decides every refusal.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ __all__ = [
 
 # Steps one public call may take, each charged before it is taken: n^3 per
 # enumerated round (a node has at most (n-1)^2 choices), one per entry of a
-# joint product, one per census edge mask.  Every connected graph on <= 6
-# nodes is accepted (S6/twohop charges most: 474 810, in 0.7 s), C7 is not;
-# the slowest accepted call found, the P18 round under twohop, takes 1.0 s,
+# joint product, one per census edge mask, one per node relabeling.  Every
+# connected graph on <= 6 nodes is accepted (S6/twohop charges most: 474 810,
+# in 0.7 s), C7 is not.  The slowest accepted call found is canonical_form of
+# K9 (9! relabelings of 36 edges, 8-10 s); the P18/twohop round takes 1.0 s,
 # and the P19/twohop round is refused after 0.8 s (2 vCPUs, Python 3.11).
 ORACLE_STEP_LIMIT = 5 * 10**5
 
@@ -166,29 +169,38 @@ def expected_rounds(g, kind: ProcessKind) -> Fraction:
         for edge, bit in bit_of.items():
             if mask & bit:
                 h.add_edge(*edge)
-        dist, total = _round_distribution(h, kind, budget)
-        # short of the target, some two-edge path has unjoined ends, so the
-        # round can add an edge
-        stay = dist.pop(frozenset(), 0)
-        assert stay < total
-        acc = total + sum(
-            w * expect[mask | sum(bit_of[e] for e in edges)] for edges, w in dist.items()
+        expect[mask] = _state_value(
+            h, kind, budget, lambda edges: expect[mask | sum(bit_of[e] for e in edges)]
         )
-        expect[mask] = acc / (total - stay)
     return expect[0]
 
 
-def _relabelings(n: int, edges) -> set[tuple[Edge, ...]]:
-    """Sorted edge tuples of every relabeling of the graph on nodes 0..n-1."""
-    return {
+def _state_value(h, kind: ProcessKind, budget: _Budget, value) -> Fraction:
+    # one back-substitution step: expected rounds from h, given value(edges)
+    # of each state a round reaches
+    dist, total = _round_distribution(h, kind, budget)
+    # short of the target, some two-edge path has unjoined ends, so the
+    # round can add an edge
+    stay = dist.pop(frozenset(), 0)
+    assert stay < total
+    return (total + sum(w * value(edges) for edges, w in dist.items())) / (total - stay)
+
+
+def _relabelings(n: int, edges):
+    """Sorted edge tuple of each relabeling of the graph on nodes 0..n-1."""
+    return (
         tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
         for p in itertools.permutations(range(n))
-    }
+    )
 
 
 def canonical_form(n: int, edges) -> tuple[int, tuple[Edge, ...]]:
     """Isomorphism-invariant form: the minimum sorted edge tuple over all
-    node relabelings (brute force; meant for n <= 5)."""
+    node relabelings.  Brute force: charges its n! relabelings up front, so
+    n >= 10 is refused."""
+    budget = _Budget(1)
+    for k in range(2, n + 1):
+        budget.charge(budget.spent * (k - 1))  # k! so far
     return (n, min(_relabelings(n, list(edges))))
 
 
@@ -202,19 +214,24 @@ def _census(n: int) -> dict[tuple[Edge, ...], tuple[Edge, ...]]:
         if edges in census or not UndirectedGraph(n, edges).is_connected():
             continue
         # one pass over the isomorphism class labels all its members
-        orbit = _relabelings(n, edges)
+        orbit = set(_relabelings(n, edges))
         canon = min(orbit)
         census.update(dict.fromkeys(orbit, canon))
     return census
+
+
+def _census_budget(max_n: int) -> _Budget:
+    budget = _Budget(0)  # one step per census edge mask, one n at a time
+    for n in range(2, max_n + 1):
+        budget.charge(1 << n * (n - 1) // 2)
+    return budget
 
 
 def connected_graphs_upto(max_n: int):
     """All connected graphs with 2..max_n nodes, one per isomorphism class,
     as (n, edge_tuple) pairs in deterministic order.  Charges its
     2^(n(n-1)/2) edge masks per n up front, so max_n >= 7 is refused."""
-    budget = _Budget(0)
-    for n in range(2, max_n + 1):
-        budget.charge(1 << n * (n - 1) // 2)
+    _census_budget(max_n)
     classes = {(n, canon) for n in range(2, max_n + 1) for canon in _census(n).values()}
     return sorted(classes, key=lambda c: (c[0], len(c[1]), c[1]))
 
@@ -239,16 +256,25 @@ def nonmonotone_search(max_n: int, kind: ProcessKind) -> list[NonmonotonePair]:
 
     G ranges over canonical forms; each isomorphism class of H is reported
     once per G, through the first of its copies in G in subset order.
+
+    The superset chain is lumpable by isomorphism class (Kemeny and Snell
+    1960): each class is valued once, by one back-substitution step, in
+    decreasing edge count.  Charges what ``connected_graphs_upto(max_n)``
+    charges up front (refused exactly when it is), then n^3 per class.
     """
-    if max_n > 5:
-        raise OracleIntractableError("nonmonotone search limited to n <= 5", max_n)
+    budget = _census_budget(max_n)
     pairs: list[NonmonotonePair] = []
     for n in range(2, max_n + 1):
         census = _census(n)
-        expected = {
-            canon: expected_rounds(UndirectedGraph(n, canon), kind)
-            for canon in set(census.values())
-        }
+        classes = sorted(set(census.values()), key=len, reverse=True)
+        budget.charge(n**3 * len(classes))
+        # K_n first: a round's outcomes have more edges, so they are valued
+        expected = {classes[0]: Fraction(0)}
+        for canon in classes[1:]:
+            expected[canon] = _state_value(
+                UndirectedGraph(n, canon), kind, budget,
+                lambda edges: expected[census[tuple(sorted(canon + tuple(edges)))]],
+            )
         for g_edges, e_g in expected.items():
             m = len(g_edges)
             witnesses: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}

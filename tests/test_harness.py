@@ -153,7 +153,6 @@ class TestScalingReport:
         for key in ("per_n_log_n", "per_n_log2_n", "per_n_sq"):
             values = entry[key]
             assert all(b < a for a, b in zip(values, values[1:]))
-            assert entry["trend"][key] == "nonincreasing"
 
     def test_exact_n_log2_n_rounds_pin_that_ratio_to_one(self):
         rows = [
@@ -279,8 +278,8 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert "path/tri" in report
         assert report["path/tri"]["sizes"] == [8, 16]
-        assert set(report["path/tri"]["trend"]) == {
-            "per_n_log_n", "per_n_log2_n", "per_n_sq",
+        assert set(report["path/tri"]) == {
+            "sizes", "median", "per_n_log_n", "per_n_log2_n", "per_n_sq",
         }
 
     def test_analyze_scaling_malformed_exits_2(self, tmp_path):

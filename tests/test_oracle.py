@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,42 @@ FIVE_NODE_WITNESSES = {
          ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)),
          Fraction(1144, 329),
          Fraction(9554644519716, 2806741224847)),
+    ],
+}
+
+
+# a sample of the six-node witnesses, with values from the labelled 2^m
+# chain of expected_rounds on each graph
+SIX_NODE_WITNESSES = {
+    TRI: [
+        (6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)),
+         ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)),
+         Fraction(1028987187658679579450066675, 94857383878528343763586896),
+         Fraction(110886263839244975948590419110257396924078720366050885768547,
+                  10824814038401357863484469483322356550734886387041332640000)),
+        (6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
+         ((0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
+         Fraction(21273646825, 1938830784),
+         Fraction(1265973723110282860281883454987, 116260567527219548366448580032)),
+        (6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)),
+         ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)),
+         Fraction(15214800625, 1938830784),
+         Fraction(3143420688454214040981947, 431409227743028192895072)),
+    ],
+    HOP: [
+        (6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 5)),
+         ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5)),
+         Fraction(1192153588641831579744610684965667751, 182799643350224161522045446341279787),
+         Fraction(307706452637813413189635598797540061221150195863445660965422335435787845192169559,
+                  47775662799073151516280017532724200546398019796091197505898414685653105913708959)),
+        (6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)),
+         ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)),
+         Fraction(165915568517923675, 27707279341519152),
+         Fraction(3594870709564359076914600501488233409, 617390919398435415480780784498762515)),
+        (6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)),
+         ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)),
+         Fraction(10676525, 2006543),
+         Fraction(351452197981375225638364, 66923522399500401481605)),
     ],
 }
 
@@ -299,6 +336,18 @@ class TestCanonicalForms:
         assert len([g for g in graphs if g[0] == 5]) == 21
         assert all(canonical_form(n, edges) == (n, edges) for n, edges in graphs)
 
+    def test_relabelings_refused_before_they_start(self):
+        path = [(i, i + 1) for i in range(7)]
+        assert canonical_form(8, path) == (
+            8, ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7))
+        )
+        with pytest.raises(OracleIntractableError) as err:
+            canonical_form(10, path + [(7, 8), (8, 9)])
+        assert err.value.size == math.factorial(10)
+        # charged one factor at a time, so a huge n is refused as fast
+        with pytest.raises(OracleIntractableError):
+            canonical_form(10**9, [(0, 1)])
+
     def test_census_refused_before_it_starts(self):
         # seven nodes alone are 2^21 edge masks
         with pytest.raises(OracleIntractableError) as err:
@@ -342,9 +391,38 @@ class TestNonmonotoneSearch:
             assert isinstance(pair.g_expected, Fraction)
             assert isinstance(pair.h_expected, Fraction)
 
-    def test_max_n_limit(self):
-        with pytest.raises(OracleIntractableError):
-            nonmonotone_search(6, TRI)
+    def test_six_node_witnesses(self):
+        pairs = [
+            (p.n, p.g_edges, p.h_edges, p.g_expected, p.h_expected)
+            for p in nonmonotone_search(6, TRI)
+        ]
+        assert pairs[:len(FIVE_NODE_WITNESSES[TRI])] == FIVE_NODE_WITNESSES[TRI]
+        six = pairs[len(FIVE_NODE_WITNESSES[TRI]):]
+        assert len(six) == 97
+        assert sum(len(g) - len(h) == 1 for _, g, h, _, _ in six) == 57
+        for pinned in SIX_NODE_WITNESSES[TRI]:
+            assert pinned in six
+
+    def test_six_node_twohop_witness_values(self):
+        # the search over six-node classes under twohop takes as long again,
+        # so its sample is pinned through expected_rounds on G and H
+        for n, g_edges, h_edges, g_expected, h_expected in SIX_NODE_WITNESSES[HOP]:
+            assert expected_rounds(UndirectedGraph(n, g_edges), HOP) == g_expected
+            assert expected_rounds(UndirectedGraph(n, h_edges), HOP) == h_expected
+            assert set(h_edges) < set(g_edges) and g_expected > h_expected
+
+    def test_max_n_limit(self, monkeypatch):
+        # refused exactly when the census is, before any census work
+        with pytest.raises(OracleIntractableError) as census_err:
+            connected_graphs_upto(7)
+
+        def no_census(n):
+            raise AssertionError("a census was computed")
+
+        monkeypatch.setattr(oracle, "_census", no_census)
+        with pytest.raises(OracleIntractableError) as err:
+            nonmonotone_search(7, TRI)
+        assert err.value.size == census_err.value.size == 2_131_018
 
 
 class TestEmpiricalVsExact:
