@@ -11,6 +11,7 @@ step budget, ``ORACLE_STEP_LIMIT``, decides every refusal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -204,9 +205,11 @@ def canonical_form(n: int, edges) -> tuple[int, tuple[Edge, ...]]:
     return (n, min(_relabelings(n, list(edges))))
 
 
+@functools.cache
 def _census(n: int) -> dict[tuple[Edge, ...], tuple[Edge, ...]]:
     """Every connected graph on nodes 0..n-1, as its sorted edge tuple,
-    mapped to the edge tuple of its canonical form."""
+    mapped to the edge tuple of its canonical form.  Built once per n and
+    shared: callers must not change it."""
     pairs = list(itertools.combinations(range(n), 2))
     census: dict[tuple[Edge, ...], tuple[Edge, ...]] = {}
     for mask in range(1, 1 << len(pairs)):

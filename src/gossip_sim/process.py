@@ -19,9 +19,11 @@ node order, two per node per round, and a skipped draw (a node or
 first-hop target with no out-neighbors) consumes nothing.
 
 The kernels define the semantics.  ``run_to_convergence`` runs them until
-at most ``TAIL_SHARE`` of the target's edges are missing, then hands the
-run to a tail engine that skips the rounds adding no edge exactly: it caps
-every node's rate by one bound from degree and missing-list extremes,
+at most ``TAIL_SHARE`` of the target's edges are missing or a round adds
+fewer than ``TAIL_SHARE`` * n edges, then hands the run to a tail engine
+that skips the rounds adding no edge exactly: it caps every node's rate
+by one bound from counts kept up to date edge by edge (degree extremes,
+missing lists, and on a digraph the two-hop paths into missing arcs),
 jumps by geometric gaps from one candidate (round, node) slot to the
 next, and keeps each candidate's one proposed edge with the probability
 that makes the kernels' law exact.  Its round counts have the kernels'
@@ -34,7 +36,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 
 from .graph import (
     DirectedGraph,
@@ -66,7 +67,8 @@ __all__ = [
 
 DEFAULT_MAX_ROUNDS = 10**7
 # run_to_convergence hands a run to the tail engine once at most
-# TAIL_SHARE * target edges are missing; set by the converge-large benchmark
+# TAIL_SHARE * target edges are missing or a kernel round adds fewer than
+# TAIL_SHARE * n; set by the converge-large benchmark
 TAIL_SHARE = 1 / 16
 
 _MASK64 = (1 << 64) - 1
@@ -321,9 +323,11 @@ def run_to_convergence(
         raise DisconnectedGraphError("undirected input must be connected")
     rng = random.Random(config.seed)
     step = round_function(config.kind)
-    rounds, tail = 0, None
+    rounds, tail, added = 0, None, g.n
     while g.edge_count < target:
-        if tail is None and target - g.edge_count <= TAIL_SHARE * target:
+        if tail is None and (
+            added < TAIL_SHARE * g.n or target - g.edge_count <= TAIL_SHARE * target
+        ):
             tail = _tail(g, config.kind, closure)
         if tail is not None:
             skip, edges = tail.draw(rng)
@@ -334,6 +338,7 @@ def run_to_convergence(
             trace_sink.begin_round(g, rounds, target - g.edge_count)
         if tail is None:
             outcome = step(g, rng, round_index=rounds)
+            added = len(outcome.edges_added)
         else:
             for a, b in edges:
                 tail.add(a, b)
@@ -347,7 +352,27 @@ def run_to_convergence(
 def _tail(g, kind: ProcessKind, closure: DirectedGraph | None) -> _Tail:
     """The tail engine for ``kind`` on ``g``; ``closure`` is the directed
     walk's convergence target and None for the undirected kinds."""
-    return _TriTail(g) if kind is ProcessKind.TRIANGULATION else _WalkTail(g, closure)
+    if kind is ProcessKind.TRIANGULATION:
+        return _TriTail(g)
+    return _HopTail(g) if closure is None else _DirTail(g, closure)
+
+
+def _swap_remove(items: list, where: dict, x) -> None:
+    """Remove ``x`` from ``items`` in O(1); ``where`` maps each item to its
+    index and is kept in step."""
+    i, last = where.pop(x), items.pop()
+    if i < len(items):
+        items[i], where[last] = last, i
+
+
+def _walk(g, u: int, rng: random.Random) -> int | None:
+    """The kernels' two-hop walk from u: its end w if u misses the edge to
+    w, else None."""
+    v = rng.choice(g._adj[u])
+    if not g._adj[v]:
+        return None
+    w = rng.choice(g._adj[v])
+    return None if w == u or w in g._adj_sets[u] else w
 
 
 class _Tail:
@@ -362,9 +387,29 @@ class _Tail:
     geometric gaps (Devroye 1986, ch. 10) at a cost of O(1 + n Q) steps per
     round.  A candidate is kept with probability q_u / Q and then proposes
     e with probability p[u][e] / q_u (``propose``), so it adds e with
-    p[u][e].  No rate is kept between draws: ``add`` updates the missing
-    lists and the graph.
+    p[u][e].  No rate is kept between draws; ``add`` keeps the counts the
+    bounds read in step with the graph, each in O(1) or a few set
+    operations: ``deg`` the (out-)degrees, ``low`` the least positive one
+    and ``high`` the largest, from the number of nodes at each degree.
     """
+
+    def __init__(self, g) -> None:
+        self.g, self.deg = g, [len(out) for out in g._adj]
+        self.count = [0] * g.n
+        for d in self.deg:
+            self.count[d] += 1
+        self.low, self.high = min(filter(None, self.deg)), max(self.deg)
+
+    def _grow(self, x: int) -> None:
+        # x had an out-neighbour already: a node without one misses nothing
+        d, count = self.deg[x], self.count
+        self.deg[x] = d + 1
+        count[d] -= 1
+        count[d + 1] += 1
+        if d == self.low and not count[d]:
+            self.low = d + 1
+        if d == self.high:
+            self.high = d + 1
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
         """Number of empty rounds before the next round that adds an edge,
@@ -389,23 +434,24 @@ class _Tail:
                 if e is not None:
                     edges.append(e)
 
+
 class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
     probability 2/d_u^2, and N(u) holds at most min(M, d_u(d_u-1)/2).
     ``where`` indexes ``missing``, so that a pair leaves it in O(1)."""
 
     def __init__(self, g: UndirectedGraph) -> None:
-        self.g, n, nbrs = g, g.n, g._adj_sets
+        super().__init__(g)
+        n, nbrs = g.n, g._adj_sets
         self.missing = [(a, b) for a in range(n) for b in sorted(set(range(a + 1, n)) - nbrs[a])]
         self.where = {e: i for i, e in enumerate(self.missing)}
 
     def cap(self) -> float:
-        degrees = list(map(len, self.g._adj))
-        low, high = min(degrees), max(degrees)
+        low, high = self.low, self.high
         return min(2 * len(self.missing) / (low * low), (high - 1) / high)
 
     def bound(self, u: int) -> float:
-        d, m2 = len(self.g._adj[u]), 2 * len(self.missing)
+        d, m2 = self.deg[u], 2 * len(self.missing)
         return m2 / (d * d) if d * (d - 1) > m2 else (d - 1) / d
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
@@ -428,70 +474,109 @@ class _TriTail(_Tail):
         return skip, edges
 
     def add(self, a: int, b: int) -> None:
-        missing, where = self.missing, self.where
-        i, last = where.pop((a, b)), missing.pop()
-        if i < len(missing):
-            missing[i], where[last] = last, i
+        _swap_remove(self.missing, self.where, (a, b))
+        self._grow(a)
+        self._grow(b)
         self.g.add_edge(a, b)
 
 
-class _WalkTail(_Tail):
-    """Two-hop walks: u adds the missing edge to w with probability
-    sum(1/(d_u d_v)) over v in N+(u) & N-(w), at most |N-(w)| / (d_u low)
-    with ``low`` the least positive out-degree.  ``miss[u]`` lists the
-    missing targets of u, on a digraph the arcs of the ``closure`` not yet
-    present, ``inn[w]`` the in-neighbours of w, and ``wanted[w]`` is true
-    while some node misses w (on a digraph a count of those nodes, on an
-    undirected graph ``miss[w]`` itself)."""
+class _HopTail(_Tail):
+    """Undirected two-hop walk: u adds missing {u, w} with probability
+    sum(1/(d_u d_v)) over v in N(u) & N(w), at most high / (d_u low), so its
+    rate is at most |miss[u]| high / (d_u low).  ``miss[u]`` lists the
+    nodes u is not adjacent to and ``where[u]`` indexes it."""
 
-    def __init__(self, g, closure: DirectedGraph | None) -> None:
-        self.g, self.directed = g, closure is not None
-        reach = closure._adj_sets if self.directed else [set(range(g.n))] * g.n
-        self.miss = [sorted(r - s - {u}) for u, (r, s) in enumerate(zip(reach, g._adj_sets))]
-        self.inn, self.wanted = g._adj, self.miss
-        if self.directed:
-            self.inn, self.wanted = [[] for _ in range(g.n)], [0] * g.n
-            for u, out in enumerate(g._adj):
-                for v in out:
-                    self.inn[v].append(u)
-                for w in self.miss[u]:
-                    self.wanted[w] += 1
+    def __init__(self, g: UndirectedGraph) -> None:
+        super().__init__(g)
+        everyone = set(range(g.n))
+        self.miss = [sorted(everyone - nbrs - {u}) for u, nbrs in enumerate(g._adj_sets)]
+        self.where = [{w: i for i, w in enumerate(targets)} for targets in self.miss]
 
     def cap(self) -> float:
-        # refreshes ``low`` for bound and propose; a node with missing
-        # targets has an out-neighbour, so d_u >= low; its targets are wanted
-        self.low = low = min(filter(None, map(len, self.g._adj)))
-        most = max(map(len, compress(self.inn, self.wanted)), default=0)
-        return min(1.0, max(map(len, self.miss)) * most / (low * low))
+        # |miss[u]| = n - 1 - d_u and d_u >= low
+        low = self.low
+        return min(1.0, (self.g.n - 1 - low) * self.high / (low * low))
 
     def bound(self, u: int) -> float:
-        weight = sum(map(len, map(self.inn.__getitem__, self.miss[u])))
-        return min(1.0, weight / (len(self.g._adj[u]) * self.low)) if weight else 0.0
+        return min(1.0, len(self.miss[u]) * self.high / (self.deg[u] * self.low))
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
-        # w comes out with sum(1/(d_u d_v)) over the bound: w in proportion
-        # to |N-(w)|, v uniform in N-(w) kept with low/d_v, or the kernel's walk
-        adj, adj_sets, targets = self.g._adj, self.g._adj_sets, self.miss[u]
-        weights = [len(self.inn[w]) for w in targets]
-        if sum(weights) < len(adj[u]) * self.low:
-            w = rng.choices(targets, weights)[0]
-            v = rng.choice(self.inn[w])
-            if v not in adj_sets[u] or rng.random() * len(adj[v]) >= self.low:
-                return None
+        # w comes out with sum(1/(d_u d_v)) over the bound: w uniform in
+        # miss[u], v uniform in N(w) kept if in N(u) with d_w low / (high d_v),
+        # or the kernel's walk
+        deg, targets = self.deg, self.miss[u]
+        if len(targets) * self.high >= deg[u] * self.low:
+            w = _walk(self.g, u, rng)
         else:
-            v = rng.choice(adj[u])
-            if not adj[v]:
-                return None
-            w = rng.choice(adj[v])
-            if w == u or w in adj_sets[u]:
-                return None
-        return (u, w) if self.directed or u < w else (w, u)
+            w = targets[rng.randrange(len(targets))]
+            v = rng.choice(self.g._adj[w])
+            if v not in self.g._adj_sets[u] or rng.random() * self.high * deg[v] >= deg[w] * self.low:
+                w = None
+        return None if w is None else (min(u, w), max(u, w))
 
     def add(self, a: int, b: int) -> None:
+        _swap_remove(self.miss[a], self.where[a], b)
+        _swap_remove(self.miss[b], self.where[b], a)
+        self._grow(a)
+        self._grow(b)
+        self.g.add_edge(a, b)
+
+
+class _DirTail(_Tail):
+    """Directed two-hop walk: u adds missing arc (u, w) with probability
+    sum(1/(d_u d_v)) over v in N+(u) & N-(w), so its rate is at most
+    C[u] / (d_u low): ``c[u][v]`` counts the arcs of v into ``miss[u]``,
+    the closure's arcs out of u not yet present, for each v in N+(u) in
+    the order of the adjacency list, and ``C[u]`` is their sum.
+    ``missers[w]`` holds the nodes that miss w and ``inn[w]`` N-(w)."""
+
+    def __init__(self, g: DirectedGraph, closure: DirectedGraph) -> None:
+        super().__init__(g)
+        out = g._adj_sets
+        self.miss = [r - s - {u} for u, (r, s) in enumerate(zip(closure._adj_sets, out))]
+        self.missers = [set() for _ in range(g.n)]
+        self.inn = [set() for _ in range(g.n)]
+        for u, targets in enumerate(self.miss):
+            for w in targets:
+                self.missers[w].add(u)
+            for v in g._adj[u]:
+                self.inn[v].add(u)
+        self.c = [{v: len(out[v] & targets) for v in g._adj[u]} for u, targets in enumerate(self.miss)]
+        self.C = [sum(cu.values()) for cu in self.c]
+
+    def cap(self) -> float:
+        # a node with a path into miss[u] has an out-neighbour, so d_u >= low
+        return min(1.0, max(self.C) / (self.low * self.low))
+
+    def bound(self, u: int) -> float:
+        paths = self.C[u]
+        return min(1.0, paths / (self.deg[u] * self.low)) if paths else 0.0
+
+    def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
+        # w comes out with sum(1/(d_u d_v)) over the bound: v in proportion
+        # to c[u][v], w uniform in N+(v) & miss[u], kept with low / d_v, or
+        # the kernel's walk
+        if self.C[u] >= self.deg[u] * self.low:
+            w = _walk(self.g, u, rng)
+            return None if w is None else (u, w)
+        v = rng.choices(self.g._adj[u], self.c[u].values())[0]
+        w = rng.choice(tuple(self.g._adj_sets[v] & self.miss[u]))
+        return (u, w) if rng.random() * self.deg[v] < self.low else None
+
+    def add(self, a: int, b: int) -> None:
+        # before the arc exists: paths u -> a -> b gain the arc (a, b), the
+        # paths a -> v -> b stop counting, and b's own arcs into miss[a] count
+        c, C, out = self.c, self.C, self.g._adj_sets
         self.miss[a].remove(b)
-        if self.directed:
-            self.inn[b].append(a)
-            self.wanted[b] -= 1
-        else:
-            self.miss[b].remove(a)
+        self.missers[b].remove(a)
+        for u in self.inn[a] & self.missers[b]:
+            c[u][a] += 1
+            C[u] += 1
+        dropped = out[a] & self.inn[b]
+        for v in dropped:
+            c[a][v] -= 1
+        c[a][b] = paths = len(out[b] & self.miss[a])
+        C[a] += paths - len(dropped)
+        self.inn[b].add(a)
+        self._grow(a)
         self.g.add_edge(a, b)

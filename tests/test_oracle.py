@@ -411,6 +411,13 @@ class TestNonmonotoneSearch:
             assert expected_rounds(UndirectedGraph(n, h_edges), HOP) == h_expected
             assert set(h_edges) < set(g_edges) and g_expected > h_expected
 
+    def test_census_is_built_once_per_size(self):
+        connected_graphs_upto(6)
+        built = oracle._census.cache_info().misses
+        connected_graphs_upto(6)
+        nonmonotone_search(6, HOP)
+        assert oracle._census.cache_info().misses == built
+
     def test_max_n_limit(self, monkeypatch):
         # refused exactly when the census is, before any census work
         with pytest.raises(OracleIntractableError) as census_err:

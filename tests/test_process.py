@@ -324,7 +324,8 @@ class TestReferenceStream:
 class TestKernelSeam:
     def test_directed_kernel_is_resolved_at_call_time(self, monkeypatch):
         # dstrong(16) misses more than TAIL_SHARE of its closure's arcs, so
-        # the kernel runs until the tail engine takes over
+        # the kernel runs round 0; under this seed that round adds fewer
+        # than TAIL_SHARE * n arcs, and the tail engine takes over after it
         calls = []
         original = process.directed_twohop_round
         g = directed_strong_lb(16)
@@ -332,12 +333,41 @@ class TestKernelSeam:
 
         def spy(g, rng, round_index=0, draw_log=None):
             assert target - g.edge_count > process.TAIL_SHARE * target
-            calls.append(round_index)
-            return original(g, rng, round_index, draw_log)
+            outcome = original(g, rng, round_index, draw_log)
+            calls.append((round_index, len(outcome.edges_added)))
+            return outcome
 
         monkeypatch.setattr(process, "directed_twohop_round", spy)
         assert process.round_function(ProcessKind.TWOHOP_DIRECTED) is spy
         config = ProcessConfig(kind=ProcessKind.TWOHOP_DIRECTED, seed=trial_seed(1, 1))
         rounds, capped = process.run_to_convergence(g, config)
-        assert calls == list(range(len(calls))) and len(calls) >= 1
+        assert len(calls) == 1 and calls[0][0] == 0 and calls[0][1] < process.TAIL_SHARE * g.n
         assert rounds > len(calls) and not capped and g.edge_count == target
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            (ProcessKind.TRIANGULATION, "triangulation_round"),
+            (ProcessKind.TWOHOP_UNDIRECTED, "twohop_round"),
+        ],
+    )
+    def test_kernels_run_until_a_round_yields_less_than_the_share(self, kind, name, monkeypatch):
+        # cycle(64) hands over at its first kernel round adding fewer than
+        # TAIL_SHARE * n = 4 edges, while more than TAIL_SHARE of the
+        # target is still missing
+        added = []
+        original = getattr(process, name)
+
+        def spy(g, rng, round_index=0, draw_log=None):
+            outcome = original(g, rng, round_index, draw_log)
+            added.append(len(outcome.edges_added))
+            return outcome
+
+        monkeypatch.setattr(process, name, spy)
+        g = cycle_graph(64)
+        start, target = g.edge_count, process.convergence_target(g, kind)
+        rounds, capped = run_to_convergence(g, ProcessConfig(kind=kind, seed=trial_seed(1, 1)))
+        share = process.TAIL_SHARE * g.n
+        assert min(added[:-1]) >= share > added[-1]
+        assert target - (start + sum(added)) > process.TAIL_SHARE * target
+        assert rounds > len(added) and not capped and g.edge_count == target

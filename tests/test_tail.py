@@ -64,10 +64,38 @@ def _small_graphs(kind, count):
             yield random_connected_graph(n, 0.2, seed=trial_seed(62, i))
 
 
+def _assert_counts_match_a_recount(tail, g, kind):
+    """Every count the engine keeps in ``add`` equals its value recounted
+    from the graph: degrees, their buckets and extremes, the missing edges
+    with their positions, and on a digraph the two-hop path counts."""
+    deg = [len(out) for out in g._adj]
+    assert tail.deg == deg
+    assert tail.count == [deg.count(d) for d in range(g.n)]
+    assert (tail.low, tail.high) == (min(filter(None, deg)), max(deg))
+    out = g._adj_sets
+    if kind is TRI:
+        absent = {(a, b) for a in range(g.n) for b in range(a + 1, g.n) if b not in out[a]}
+        assert sorted(tail.missing) == sorted(absent)
+        assert tail.where == {e: i for i, e in enumerate(tail.missing)}
+    elif kind is HOP:
+        for u in range(g.n):
+            assert sorted(tail.miss[u]) == sorted(set(range(g.n)) - out[u] - {u})
+            assert tail.where[u] == {w: i for i, w in enumerate(tail.miss[u])}
+    else:
+        reach = transitive_closure(g)._adj_sets
+        for u in range(g.n):
+            miss = reach[u] - out[u]
+            assert tail.miss[u] == miss
+            assert tail.missers[u] == {x for x in range(g.n) if u in reach[x] - out[x]}
+            assert tail.inn[u] == {x for x in range(g.n) if u in out[x]}
+            assert list(tail.c[u].items()) == [(v, len(out[v] & miss)) for v in g._adj[u]]
+            assert tail.C[u] == sum(tail.c[u].values())
+
+
 @pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
 def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
-    """After every executed round: the walks mark as wanted exactly the
-    nodes still missed, the common cap is at least each node's bound, the
+    """After every executed round: the engine's counts equal a recount
+    from the graph, the common cap is at least each node's bound, the
     bound at least its exact rate, and its proposals follow the exact
     per-node law thinned by the bound: edge e with p[u][e] / bound,
     none with the rest.  The per-node chi-square statistics are pooled into
@@ -79,10 +107,7 @@ def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
     def check(tail, g):
         nonlocal stat, dof
         cap = tail.cap()
-        if kind is not TRI:
-            # the walk's cap reads in-degrees only of the nodes still missed
-            missed = {w for targets in tail.miss for w in targets}
-            assert [bool(x) for x in tail.wanted] == [w in missed for w in range(g.n)]
+        _assert_counts_match_a_recount(tail, g, kind)
         rng = random.Random(trial_seed(68, len(checked)))
         for u in range(g.n):
             weights, total = _node_outcomes(g, u, kind)
@@ -118,6 +143,25 @@ def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
         assert g.edge_count == target
     assert len(checked) > 100
     assert chi2.sf(stat, dof) > MIN_P
+
+
+def test_directed_proposals_match_the_oracle_where_the_path_count_reaches_the_walk():
+    """Nodes 0 and 2 have at least d_u * low two-hop paths into their missing
+    arcs, so their bound is 1 and they propose by the kernel's own walk:
+    the proposals follow the exact per-node law, misses included."""
+    proposals = 4000
+    g = DirectedGraph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 0)])
+    tail = process._tail(g, DHOP, transitive_closure(g))
+    rng = random.Random(trial_seed(72, 0))
+    for u in (0, 2):
+        assert tail.C[u] >= tail.deg[u] * tail.low and tail.bound(u) == 1
+        weights, total = _node_outcomes(g, u, DHOP)
+        assert None in weights
+        counts = Counter(tail.propose(u, rng) for _ in range(proposals))
+        assert set(counts) <= set(weights)
+        expect = {e: proposals * w / total for e, w in weights.items()}
+        stat = sum((counts[e] - x) ** 2 / x for e, x in expect.items())
+        assert chi2.sf(stat, len(expect) - 1) > MIN_P
 
 
 def _static_cases():
@@ -268,8 +312,9 @@ def test_mean_rounds_match_expected_rounds(kind, monkeypatch):
         (lambda: cycle_graph(64), TRI, 100),
         (lambda: cycle_graph(64), HOP, 100),
         (lambda: directed_weak_lb(64), DHOP, 100),
+        (lambda: directed_strong_lb(16), DHOP, 100),
     ],
-    ids=["cycle-tri", "cycle-twohop", "dweak-dtwohop"],
+    ids=["cycle-tri", "cycle-twohop", "dweak-dtwohop", "dstrong-dtwohop"],
 )
 def test_round_counts_match_the_reference_kernels(make, kind, trials):
     g0 = make()
