@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .graph import IsolatedNodeError, UndirectedGraph, transitive_closure
 from .process import (
-    DisconnectedGraphError,
     ProcessKind,
+    _check_input,
     check_graph_type,
     convergence_target,
     round_function,
@@ -154,12 +154,10 @@ def expected_rounds(g, kind: ProcessKind) -> Fraction:
     Charges 2^m n^3 steps for its states up front, m the missing edges,
     and every state's joint products to the same ORACLE_STEP_LIMIT.
     """
-    check_graph_type(g, kind)
+    _check_input(g, kind)
     if kind.directed:
         missing = [e for e in transitive_closure(g).edges() if not g.has_edge(*e)]
     else:
-        if not g.is_connected():
-            raise DisconnectedGraphError("undirected input must be connected")
         missing = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
     budget = _Budget(g.n**3 << len(missing))
     bit_of = {e: 1 << i for i, e in enumerate(missing)}

@@ -19,14 +19,14 @@ node order, two per node per round, and a skipped draw (a node or
 first-hop target with no out-neighbors) consumes nothing.
 
 The kernels define the semantics.  ``run_to_convergence`` runs them until
-at most ``TAIL_SHARE`` of the target's edges are missing or a round adds
-fewer than ``TAIL_SHARE`` * n edges, then hands the run to a tail engine
-that skips the rounds adding no edge exactly: it caps every node's rate
-by one bound from counts kept up to date edge by edge (degree extremes,
-missing lists, and on a digraph the two-hop paths into missing arcs),
-jumps by geometric gaps from one candidate (round, node) slot to the
-next, and keeps each candidate's one proposed edge with the probability
-that makes the kernels' law exact.  Its round counts have the kernels'
+a round adds fewer than ``TAIL_SHARE`` * n edges, then hands the run to a
+tail engine that skips the rounds adding no edge exactly: it caps every
+node's rate by one bound from counts kept up to date edge by edge (degree
+extremes, missing lists, and on a digraph the two-hop paths into missing
+arcs), jumps by geometric gaps from one candidate (round, node) slot to
+the next, and keeps each candidate's one proposed edge with the
+probability that makes the kernels' law exact; a node whose bound reaches
+1 proposes by the kernel's own draw.  Its round counts have the kernels'
 distribution, from another random stream.
 """
 
@@ -66,9 +66,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ROUNDS = 10**7
-# run_to_convergence hands a run to the tail engine once at most
-# TAIL_SHARE * target edges are missing or a kernel round adds fewer than
-# TAIL_SHARE * n; set by the converge-large benchmark
+# run_to_convergence hands a run to the tail engine once a kernel round
+# adds fewer than TAIL_SHARE * n edges; set by the converge-large benchmark
 TAIL_SHARE = 1 / 16
 
 _MASK64 = (1 << 64) - 1
@@ -285,12 +284,22 @@ def convergence_target(g: UndirectedGraph | DirectedGraph, kind: ProcessKind) ->
 
     Undirected processes stop at the complete graph; the directed walk
     stops at the transitive closure of the initial graph (the closure is
-    invariant under the process, so it is computed once up front).
+    invariant under the process, so it is computed once up front).  Refuses
+    what ``run_to_convergence`` refuses: a graph of the wrong type, or a
+    disconnected undirected one.
     """
-    check_graph_type(g, kind)
+    _check_input(g, kind)
     if kind.directed:
         return transitive_closure(g).edge_count
     return g.n * (g.n - 1) // 2
+
+
+def _check_input(g, kind: ProcessKind) -> None:
+    # what every run refuses: the wrong graph type, or a disconnected
+    # undirected graph, whose complete target it could never reach
+    check_graph_type(g, kind)
+    if not kind.directed and not g.is_connected():
+        raise DisconnectedGraphError("undirected input must be connected")
 
 
 def check_graph_type(g, kind: ProcessKind) -> None:
@@ -315,19 +324,15 @@ def run_to_convergence(
     is still in its start-of-round state and ``end_round(outcome)`` after
     the round's edges are applied, for executed rounds only.
     """
+    _check_input(g, config.kind)
     # convergence_target's closure, computed once and handed to the tail
-    check_graph_type(g, config.kind)
     closure = transitive_closure(g) if config.kind.directed else None
     target = closure.edge_count if config.kind.directed else g.n * (g.n - 1) // 2
-    if not config.kind.directed and not g.is_connected():
-        raise DisconnectedGraphError("undirected input must be connected")
     rng = random.Random(config.seed)
     step = round_function(config.kind)
     rounds, tail, added = 0, None, g.n
     while g.edge_count < target:
-        if tail is None and (
-            added < TAIL_SHARE * g.n or target - g.edge_count <= TAIL_SHARE * target
-        ):
+        if tail is None and added < TAIL_SHARE * g.n:
             tail = _tail(g, config.kind, closure)
         if tail is not None:
             skip, edges = tail.draw(rng)
@@ -437,8 +442,8 @@ class _Tail:
 
 class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
-    probability 2/d_u^2, and N(u) holds at most min(M, d_u(d_u-1)/2).
-    ``where`` indexes ``missing``, so that a pair leaves it in O(1)."""
+    probability 2/d_u^2, so its rate is at most 2M/d_u^2.  ``where``
+    indexes ``missing``, so that a pair leaves it in O(1)."""
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
@@ -447,26 +452,21 @@ class _TriTail(_Tail):
         self.where = {e: i for i, e in enumerate(self.missing)}
 
     def cap(self) -> float:
-        low, high = self.low, self.high
-        return min(2 * len(self.missing) / (low * low), (high - 1) / high)
+        return min(1.0, 2 * len(self.missing) / (self.low * self.low))
 
     def bound(self, u: int) -> float:
-        d, m2 = self.deg[u], 2 * len(self.missing)
-        return m2 / (d * d) if d * (d - 1) > m2 else (d - 1) / d
+        d = self.deg[u]
+        return min(1.0, 2 * len(self.missing) / (d * d))
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # a missing pair inside N(u) comes out with 2/d^2 over the bound:
-        # 1/M over 2M/d^2, or the kernel's 2/(d(d-1)) over (d-1)/d
+        # 1/M over 2M/d^2, or the kernel's own draw
         nbrs, adj_sets, missing = self.g._adj[u], self.g._adj_sets, self.missing
-        d = len(nbrs)
-        if 2 * len(missing) < d * (d - 1):
-            a, b = missing[rng.randrange(len(missing))]
-            return (a, b) if a in adj_sets[u] and b in adj_sets[u] else None
-        i, j = rng.randrange(d), rng.randrange(d - 1)
-        a, b = nbrs[i], nbrs[j + (j >= i)]
-        if b in adj_sets[a]:
-            return None
-        return (a, b) if a < b else (b, a)
+        if 2 * len(missing) >= len(nbrs) ** 2:
+            a, b = rng.choice(nbrs), rng.choice(nbrs)
+            return None if a == b or b in adj_sets[a] else (min(a, b), max(a, b))
+        a, b = missing[rng.randrange(len(missing))]
+        return (a, b) if a in adj_sets[u] and b in adj_sets[u] else None
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
         skip, edges = super().draw(rng)

@@ -15,6 +15,7 @@ from gossip_sim.generators import (
 )
 from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph
 from gossip_sim.process import (
+    DegreeDoublingViolation,
     DisconnectedGraphError,
     ProcessConfig,
     ProcessGraphMismatchError,
@@ -101,6 +102,34 @@ class TestTriangulationRound:
                 triangulation_round(g, rng)
                 for u in range(12):
                     assert g.degree(u) <= 2 * before[u]
+
+    def test_degree_doubling_check_raises(self):
+        # node 0 has degree 1 and would gain two edges
+        with pytest.raises(DegreeDoublingViolation):
+            process._check_degree_doubling(path_graph(4), [(0, 2), (0, 3)])
+
+    def test_engine_rounds_pass_the_degree_doubling_check(self, monkeypatch):
+        # cycle(64) reaches the tail engine, whose executed rounds are
+        # checked as the kernel's are: every executed round's edges, in order
+        checked, executed = [], []
+        original = process._check_degree_doubling
+
+        def recorder(g, queued):
+            checked.append(list(queued))
+            original(g, queued)
+
+        class Sink:
+            def begin_round(self, g, index, missing):
+                pass
+
+            def end_round(self, outcome):
+                executed.append(outcome.edges_added)
+
+        monkeypatch.setattr(process, "_check_degree_doubling", recorder)
+        config = ProcessConfig(kind=ProcessKind.TRIANGULATION, seed=trial_seed(1, 1))
+        rounds, capped = run_to_convergence(cycle_graph(64), config, Sink())
+        assert not capped and rounds > len(executed)
+        assert checked == executed
 
 
 class TestTwoHopRound:
@@ -221,6 +250,11 @@ class TestRunToConvergence:
             histories.append((rounds, capped, rec.history))
         assert histories[0] == histories[1]
 
+    def test_disconnected_input_has_no_convergence_target(self):
+        g = UndirectedGraph(4, [(0, 1), (2, 3)])
+        with pytest.raises(DisconnectedGraphError):
+            process.convergence_target(g, ProcessKind.TRIANGULATION)
+
     def test_disconnected_input_rejected_before_round_zero(self):
         g = UndirectedGraph(4, [(0, 1), (2, 3)])
         config = ProcessConfig(kind=ProcessKind.TRIANGULATION, seed=0)
@@ -323,16 +357,14 @@ class TestReferenceStream:
 
 class TestKernelSeam:
     def test_directed_kernel_is_resolved_at_call_time(self, monkeypatch):
-        # dstrong(16) misses more than TAIL_SHARE of its closure's arcs, so
-        # the kernel runs round 0; under this seed that round adds fewer
-        # than TAIL_SHARE * n arcs, and the tail engine takes over after it
+        # the kernel runs round 0 of dstrong(16); under this seed that round
+        # adds fewer than TAIL_SHARE * n arcs, and the tail engine takes over
         calls = []
         original = process.directed_twohop_round
         g = directed_strong_lb(16)
         target = process.convergence_target(g, ProcessKind.TWOHOP_DIRECTED)
 
         def spy(g, rng, round_index=0, draw_log=None):
-            assert target - g.edge_count > process.TAIL_SHARE * target
             outcome = original(g, rng, round_index, draw_log)
             calls.append((round_index, len(outcome.edges_added)))
             return outcome
@@ -353,8 +385,7 @@ class TestKernelSeam:
     )
     def test_kernels_run_until_a_round_yields_less_than_the_share(self, kind, name, monkeypatch):
         # cycle(64) hands over at its first kernel round adding fewer than
-        # TAIL_SHARE * n = 4 edges, while more than TAIL_SHARE of the
-        # target is still missing
+        # TAIL_SHARE * n = 4 edges
         added = []
         original = getattr(process, name)
 
@@ -365,9 +396,25 @@ class TestKernelSeam:
 
         monkeypatch.setattr(process, name, spy)
         g = cycle_graph(64)
-        start, target = g.edge_count, process.convergence_target(g, kind)
+        target = process.convergence_target(g, kind)
         rounds, capped = run_to_convergence(g, ProcessConfig(kind=kind, seed=trial_seed(1, 1)))
         share = process.TAIL_SHARE * g.n
         assert min(added[:-1]) >= share > added[-1]
-        assert target - (start + sum(added)) > process.TAIL_SHARE * target
         assert rounds > len(added) and not capped and g.edge_count == target
+
+    def test_nearly_complete_input_runs_one_kernel_round_then_the_engine(self, monkeypatch):
+        # K30 less one edge: round 0 is a kernel round, and under this seed
+        # it adds nothing, so the engine takes every later round
+        calls = []
+        original = process.triangulation_round
+
+        def spy(g, rng, round_index=0, draw_log=None):
+            outcome = original(g, rng, round_index, draw_log)
+            calls.append((round_index, len(outcome.edges_added)))
+            return outcome
+
+        monkeypatch.setattr(process, "triangulation_round", spy)
+        g = UndirectedGraph(30, [e for e in complete_graph(30).edges() if e != (0, 1)])
+        rounds, capped = run_to_convergence(g, ProcessConfig(kind=ProcessKind.TRIANGULATION, seed=0))
+        assert calls == [(0, 0)]
+        assert rounds > 1 and not capped and g.is_complete()
