@@ -13,6 +13,7 @@ from operator import add, mul
 
 from .generators import directed_strong_lb
 from .graph import DirectedGraph, UndirectedGraph
+from .harness import _csv_header, _to_csv
 from .process import RoundOutcome, directed_twohop_round, trial_seed
 
 import random
@@ -86,15 +87,12 @@ class RoundTrace:
     edges_added: int
 
 
-TRACE_CSV_HEADER = "round,min_degree,missing_edges,edges_added"
+TRACE_CSV_HEADER = _csv_header(RoundTrace)
 
 
 def traces_to_csv(traces) -> str:
     """Serialize traces to CSV, one line per round."""
-    lines = [TRACE_CSV_HEADER]
-    for t in traces:
-        lines.append(f"{t.round},{t.min_degree},{t.missing_edges},{t.edges_added}")
-    return "\n".join(lines) + "\n"
+    return _to_csv(RoundTrace, traces)
 
 
 def smallest_untouched_cut(g: DirectedGraph, chain_start: int = 1) -> int | None:
@@ -162,12 +160,9 @@ class TraceCollector:
 @dataclass
 class PhTable:
     """Tracked majorant ``q[h][t]`` for the probability that a chain edge
-    spanning h hops exists by round t, together with the constants the
-    bound check uses."""
+    spanning h hops exists by round t."""
 
     n: int
-    alpha: float
-    eps: float
     hmax: int
     tmax: int
     values: list[list[float]]  # values[h - 2][t] for 2 <= h <= hmax
@@ -189,9 +184,7 @@ def ph_constants_ok(alpha: float, eps: float) -> bool:
     return (4 - 3 * eps + eps * eps) / (1 - eps) ** 3 <= 5
 
 
-def ph_recurrence(
-    n: int, T: int, H: int, *, alpha: float = 9.0, eps: float = 0.01
-) -> PhTable:
+def ph_recurrence(n: int, T: int, H: int) -> PhTable:
     """Evolve the span-probability majorant for T rounds.
 
     ``q[h][0] = 0`` for h >= 2, the span-1 boundary is pinned to 1, and
@@ -201,9 +194,8 @@ def ph_recurrence(
 
     evaluated at the chain position i that maximizes the increment, which
     makes each q[h] a single majorant valid for every position.  Values
-    are clamped to 1.  The constants are checked here, at configuration
-    time, and so is the size: the recurrence takes about T * n^2 steps, and
-    a T * n^2 beyond PH_STEP_LIMIT is refused before anything is allocated.
+    are clamped to 1.  The recurrence takes about T * n^2 steps, and a
+    T * n^2 beyond PH_STEP_LIMIT is refused before anything is allocated.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -211,11 +203,6 @@ def ph_recurrence(
         raise ValueError(f"need T >= 0, got {T}")
     if not 2 <= H <= n - 1:
         raise ValueError(f"need 2 <= H <= n - 1, got H={H}")
-    if not ph_constants_ok(alpha, eps):
-        raise ValueError(
-            f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
-            "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5"
-        )
     if T * n * n > PH_STEP_LIMIT:
         raise ValueError(f"T * n^2 = {T * n * n} exceeds {PH_STEP_LIMIT} recurrence steps")
     scale = 4.0 / (n * n)
@@ -235,18 +222,24 @@ def ph_recurrence(
             col[h] = min(1.0, col[h] + scale * (middle + best))
         for h, row in enumerate(rows, 2):
             row.append(col[h])
-    return PhTable(n=n, alpha=alpha, eps=eps, hmax=H, tmax=T, values=rows)
+    return PhTable(n=n, hmax=H, tmax=T, values=rows)
 
 
-def ph_bound_check(table: PhTable) -> bool:
+def ph_bound_check(table: PhTable, alpha: float = 9.0, eps: float = 0.01) -> bool:
     """True iff ``q[h][t] <= (alpha * t / n^2)^(h-1)`` for all tabulated
-    spans and all ``1 <= t <= eps * n^2``."""
-    t_max = math.floor(table.eps * table.n * table.n)
+    spans and all ``1 <= t <= eps * n^2``; refuses constants that fail
+    ``ph_constants_ok`` and a table shorter than that."""
+    if not ph_constants_ok(alpha, eps):
+        raise ValueError(
+            f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
+            "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5"
+        )
+    t_max = math.floor(eps * table.n * table.n)
     if t_max > table.tmax:
         raise ValueError(
             f"table covers t <= {table.tmax} but the bound needs t <= {t_max}"
         )
-    base = table.alpha / (table.n * table.n)
+    base = alpha / (table.n * table.n)
     for h in range(2, table.hmax + 1):
         for t in range(1, t_max + 1):
             if table.q(h, t) > (base * t) ** (h - 1):

@@ -156,10 +156,8 @@ def _cmd_analyze_scaling(args) -> int:
 
 def _cmd_analyze_ph_bound(args) -> int:
     t_max = math.floor(args.eps * args.n * args.n)
-    table = analysis.ph_recurrence(
-        args.n, t_max, args.hmax, alpha=args.alpha, eps=args.eps
-    )
-    ok = analysis.ph_bound_check(table)
+    table = analysis.ph_recurrence(args.n, t_max, args.hmax)
+    ok = analysis.ph_bound_check(table, args.alpha, args.eps)
     print("pass" if ok else "fail")
     return 0 if ok else 1
 

@@ -3,6 +3,8 @@ graphs, and the two directed lower-bound instances.
 
 All generators are pure functions of ``(family, n, seed)`` and always
 produce simple graphs; the undirected ones are connected by construction.
+``generate`` dispatches on one table of families, which also names the
+parameters each family takes.
 """
 
 from __future__ import annotations
@@ -25,18 +27,6 @@ __all__ = [
     "directed_weak_lb",
     "directed_strong_lb",
 ]
-
-FAMILIES = (
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "random",
-    "lollipop",
-    "dweak",
-    "dstrong",
-)
-
 
 class FamilyConstraintError(GraphError):
     """A family-specific constraint on the parameters was violated."""
@@ -75,26 +65,24 @@ def random_connected_graph(n: int, p: float, seed: int) -> UndirectedGraph:
     with the same value draws independently of the graph.
     """
     _check_n(n)
-    if not 0.0 <= p <= 1.0:
+    if p is None or not 0.0 <= p <= 1.0:
         raise FamilyConstraintError(f"random family needs p in [0, 1], got {p}")
     rng = random.Random(trial_seed(seed, 0))
     g = UndirectedGraph(n)
-    if n == 2:
-        g.add_edge(0, 1)
-    else:
-        pruefer = [rng.randrange(n) for _ in range(n - 2)]
-        degree = [1] * n
-        for x in pruefer:
-            degree[x] += 1
-        for x in pruefer:
-            for leaf in range(n):
-                if degree[leaf] == 1:
-                    g.add_edge(leaf, x)
-                    degree[leaf] -= 1
-                    degree[x] -= 1
-                    break
-        last = [x for x in range(n) if degree[x] == 1]
-        g.add_edge(last[0], last[1])
+    # at n = 2 the sequence is empty and the last step adds (0, 1)
+    pruefer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in pruefer:
+        degree[x] += 1
+    for x in pruefer:
+        for leaf in range(n):
+            if degree[leaf] == 1:
+                g.add_edge(leaf, x)
+                degree[leaf] -= 1
+                degree[x] -= 1
+                break
+    last = [x for x in range(n) if degree[x] == 1]
+    g.add_edge(last[0], last[1])
     if p > 0.0:
         for u in range(n):
             for v in range(u + 1, n):
@@ -162,6 +150,22 @@ def directed_strong_lb(n: int) -> DirectedGraph:
     return g
 
 
+# family -> (build(n, seed, **given params), the params it takes), in
+# FAMILIES' order
+_BUILDERS = {
+    "path": (lambda n, seed: path_graph(n), ()),
+    "cycle": (lambda n, seed: cycle_graph(n), ()),
+    "star": (lambda n, seed: star_graph(n), ()),
+    "complete": (lambda n, seed: complete_graph(n), ()),
+    "random": (lambda n, seed, p=None: random_connected_graph(n, p, seed), ("p",)),
+    "lollipop": (lambda n, seed, **params: lollipop_graph(n, **params), ("clique_frac",)),
+    "dweak": (lambda n, seed: directed_weak_lb(n), ()),
+    "dstrong": (lambda n, seed: directed_strong_lb(n), ()),
+}
+
+FAMILIES = tuple(_BUILDERS)
+
+
 def generate(
     family: str,
     n: int,
@@ -170,26 +174,16 @@ def generate(
     p: float | None = None,
     clique_frac: float | None = None,
 ) -> UndirectedGraph | DirectedGraph:
-    """Build a graph of the named family; see FAMILIES for valid names."""
-    if family == "path":
-        return path_graph(n)
-    if family == "cycle":
-        return cycle_graph(n)
-    if family == "star":
-        return star_graph(n)
-    if family == "complete":
-        return complete_graph(n)
-    if family == "random":
-        if p is None:
-            raise FamilyConstraintError("random family needs p")
-        return random_connected_graph(n, p, seed)
-    if family == "lollipop":
-        return lollipop_graph(n, 0.5 if clique_frac is None else clique_frac)
-    if family == "dweak":
-        return directed_weak_lb(n)
-    if family == "dstrong":
-        return directed_strong_lb(n)
-    raise FamilyConstraintError(f"unknown family {family!r}; choose from {FAMILIES}")
+    """Build a graph of the named family; see FAMILIES for valid names.
+    A parameter given (not None) that the family does not take is refused."""
+    if family not in _BUILDERS:
+        raise FamilyConstraintError(f"unknown family {family!r}; choose from {FAMILIES}")
+    build, takes = _BUILDERS[family]
+    params = {k: v for k, v in (("p", p), ("clique_frac", clique_frac)) if v is not None}
+    extra = sorted(params.keys() - set(takes))
+    if extra:
+        raise FamilyConstraintError(f"{family} family takes no {', '.join(extra)}")
+    return build(n, seed, **params)
 
 
 def _check_n(n: int) -> None:

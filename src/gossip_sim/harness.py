@@ -4,7 +4,8 @@ serialization, aggregation, and scaling analysis of the results.
 A sweep is fully determined by its spec: per-trial seeds come from the
 SplitMix64 derivation in the process module, trials may run in parallel,
 and rows are always assembled in (n, trial) order so serial and parallel
-runs produce identical files.
+runs produce identical files.  A CSV file's columns are its record
+dataclass's fields in declaration order, written by one writer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .generators import generate
 from .process import DEFAULT_MAX_ROUNDS, ProcessConfig, ProcessKind, trial_seed
@@ -31,13 +32,6 @@ __all__ = [
     "aggregates_to_csv",
     "scaling_report",
 ]
-
-ROWS_CSV_HEADER = "family,n,process,trial,seed,rounds,capped"
-AGGREGATES_CSV_HEADER = (
-    "family,n,process,trials,mean,median,p05,p95,"
-    "per_n_log_n,per_n_log2_n,per_n_sq,capped_trials"
-)
-
 
 @dataclass
 class ExperimentSpec:
@@ -60,6 +54,9 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        # rows are keyed by (n, trial): a repeated size would pool two cells
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError(f"sizes must be distinct, got {self.sizes}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,28 @@ class AggregateRow:
     per_n_log2_n: float
     per_n_sq: float
     capped_trials: int
+
+
+def _csv_header(record_type) -> str:
+    return ",".join(f.name for f in fields(record_type))
+
+
+def _cell(x) -> str:
+    if isinstance(x, bool):  # before int, which bool is
+        return str(int(x))
+    return repr(round(x, 9)) if isinstance(x, float) else str(x)
+
+
+def _to_csv(record_type, records) -> str:
+    """The header, then one line per record, fields in declaration order."""
+    names = [f.name for f in fields(record_type)]
+    lines = [_csv_header(record_type)]
+    lines.extend(",".join(_cell(getattr(r, name)) for name in names) for r in records)
+    return "\n".join(lines) + "\n"
+
+
+ROWS_CSV_HEADER = _csv_header(TrialRow)
+AGGREGATES_CSV_HEADER = _csv_header(AggregateRow)
 
 
 def _run_one(task: tuple[ExperimentSpec, int, int]) -> tuple[int, bool]:
@@ -158,13 +177,7 @@ def aggregate_rows(rows: list[TrialRow]) -> list[AggregateRow]:
 
 
 def rows_to_csv(rows: list[TrialRow]) -> str:
-    lines = [ROWS_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.family},{r.n},{r.process},{r.trial},{r.seed},{r.rounds},"
-            f"{1 if r.capped else 0}"
-        )
-    return "\n".join(lines) + "\n"
+    return _to_csv(TrialRow, rows)
 
 
 def rows_from_csv(text: str) -> list[TrialRow]:
@@ -174,7 +187,7 @@ def rows_from_csv(text: str) -> list[TrialRow]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 7:
+        if len(parts) != len(fields(TrialRow)):
             raise ValueError(f"bad row {ln!r}")
         family, n, process, trial, seed, rounds, capped = parts
         # every family needs n >= 2, and the aggregates divide by log(n)
@@ -185,20 +198,8 @@ def rows_from_csv(text: str) -> list[TrialRow]:
     return rows
 
 
-def _fmt(x: float) -> str:
-    return repr(round(x, 9))
-
-
 def aggregates_to_csv(aggs: list[AggregateRow]) -> str:
-    lines = [AGGREGATES_CSV_HEADER]
-    for a in aggs:
-        lines.append(
-            f"{a.family},{a.n},{a.process},{a.trials},{_fmt(a.mean)},"
-            f"{_fmt(a.median)},{_fmt(a.p05)},{_fmt(a.p95)},"
-            f"{_fmt(a.per_n_log_n)},{_fmt(a.per_n_log2_n)},{_fmt(a.per_n_sq)},"
-            f"{a.capped_trials}"
-        )
-    return "\n".join(lines) + "\n"
+    return _to_csv(AggregateRow, aggs)
 
 
 def scaling_report(rows: list[TrialRow]) -> dict:

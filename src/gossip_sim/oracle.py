@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .graph import IsolatedNodeError, UndirectedGraph, transitive_closure
 from .process import (
+    ProcessGraphMismatchError,
     ProcessKind,
     _check_input,
     check_graph_type,
@@ -262,7 +263,10 @@ def nonmonotone_search(max_n: int, kind: ProcessKind) -> list[NonmonotonePair]:
     1960): each class is valued once, by one back-substitution step, in
     decreasing edge count.  Charges what ``connected_graphs_upto(max_n)``
     charges up front (refused exactly when it is), then n^3 per class.
+    The census holds undirected graphs, so a directed kind is refused.
     """
+    if kind.directed:
+        raise ProcessGraphMismatchError(f"{kind.value} runs on digraphs; the census is undirected")
     budget = _census_budget(max_n)
     pairs: list[NonmonotonePair] = []
     for n in range(2, max_n + 1):
@@ -304,6 +308,8 @@ def empirical_vs_exact(g, kind: ProcessKind, trials: int, seed: int) -> dict:
     against the exact expectation (z-score) and the round-0 edge-set
     frequencies against the exact distribution (chi-square).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     from scipy.stats import chi2
 
     dist = single_round_distribution(g, kind)

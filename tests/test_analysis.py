@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -222,8 +221,10 @@ class TestPhRecurrence:
         assert ph_constants_ok(9.0, 0.01)
         assert not ph_constants_ok(8.0, 0.01)  # needs >= 8.3956...
         assert not ph_constants_ok(9.0, 0.2)  # alpha * eps >= 1
-        with pytest.raises(ValueError):
-            ph_recurrence(10, 5, 4, alpha=1.0, eps=0.01)
+        # the recurrence has no constants; the check refuses bad ones
+        table = ph_recurrence(10, 5, 4)
+        with pytest.raises(ValueError, match="violate"):
+            ph_bound_check(table, alpha=1.0)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -246,14 +247,20 @@ class TestPhBoundCheck:
         table = ph_recurrence(100, 100, 8)
         assert ph_bound_check(table)
 
-    def test_zero_alpha_fails(self):
+    def test_zero_alpha_refused(self):
         table = ph_recurrence(10, 1, 2)
-        broken = dataclasses.replace(table, alpha=0.0, eps=0.01)
-        assert not ph_bound_check(broken)
+        with pytest.raises(ValueError, match="violate"):
+            ph_bound_check(table, alpha=0.0, eps=0.01)
 
     def test_zero_eps_is_vacuously_true(self):
         table = ph_recurrence(10, 1, 2)
-        assert ph_bound_check(dataclasses.replace(table, eps=0.0))
+        assert ph_bound_check(table, eps=0.0)
+
+    def test_constants_passed_to_the_check(self):
+        # the looser valid pairs pass where the reference pair does
+        table = ph_recurrence(100, 100, 8)
+        assert ph_bound_check(table, 8.4, 0.01)
+        assert ph_bound_check(table, 8.05, 0.001)
 
     def test_short_table_rejected(self):
         table = ph_recurrence(100, 10, 4)

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from gossip_sim.generators import (
+    FAMILIES,
     FamilyConstraintError,
     complete_graph,
     cycle_graph,
@@ -81,6 +82,11 @@ class TestRandomConnected:
             seen = counts[centre, 0] + counts[centre, 1]
             assert seen >= 40
             assert max(counts[centre, 0], counts[centre, 1]) <= 0.8 * seen
+
+    def test_two_nodes_give_the_one_edge(self):
+        # the empty Pruefer sequence leaves the one edge, whatever the seed
+        for seed in range(5):
+            assert list(random_connected_graph(2, 1.0, seed).edges()) == [(0, 1)]
 
     def test_p_out_of_range(self):
         with pytest.raises(FamilyConstraintError):
@@ -181,6 +187,21 @@ class TestGenerateDispatch:
     def test_random_needs_p(self):
         with pytest.raises(FamilyConstraintError):
             generate("random", 6)
+
+    def test_parameter_the_family_does_not_take_refused(self):
+        # only random reads p and only lollipop reads clique_frac
+        with pytest.raises(FamilyConstraintError, match="path family takes no p"):
+            generate("path", 5, p=2.0)
+        with pytest.raises(FamilyConstraintError, match="takes no clique_frac"):
+            generate("random", 6, seed=3, p=0.1, clique_frac=0.5)
+        with pytest.raises(FamilyConstraintError, match="takes no clique_frac, p"):
+            generate("dstrong", 8, p=0.1, clique_frac=0.5)
+        assert generate("lollipop", 10, clique_frac=0.3).edge_count == 10
+
+    def test_families_keep_their_order(self):
+        assert FAMILIES == (
+            "path", "cycle", "star", "complete", "random", "lollipop", "dweak", "dstrong",
+        )
 
     def test_unknown_family(self):
         with pytest.raises(FamilyConstraintError):

@@ -82,6 +82,12 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             make_spec(jobs=0)
 
+    def test_repeated_sizes_refused(self):
+        # rows are keyed by (n, trial): a repeated size would give two
+        # differently seeded rows for one key, pooled as one cell
+        with pytest.raises(ValueError, match="distinct"):
+            make_spec(sizes=[4, 4], trials=2)
+
 
 class TestAggregation:
     def test_aggregates_match_recomputation(self):
@@ -118,6 +124,23 @@ class TestAggregation:
         # interpolating large round counts leaves no float noise to print
         p05, p95 = p05_p95(range(4200126, 4200266, 7))
         assert (repr(p05), repr(p95)) == ("4200132.65", "4200252.35")
+
+    def test_csv_headers_pinned(self):
+        # the headers follow the record fields; files already written need
+        # these exact bytes
+        assert harness.ROWS_CSV_HEADER == "family,n,process,trial,seed,rounds,capped"
+        assert harness.AGGREGATES_CSV_HEADER == (
+            "family,n,process,trials,mean,median,p05,p95,"
+            "per_n_log_n,per_n_log2_n,per_n_sq,capped_trials"
+        )
+
+    def test_csv_cells(self):
+        rows = [harness.TrialRow("path", 8, "tri", 0, 5, 12, True)]
+        assert harness.rows_to_csv(rows).splitlines()[1] == "path,8,tri,0,5,12,1"
+        agg = harness.AggregateRow("path", 8, "tri", 3, 1 / 3, 2.0, 1.5, 2.5, 0.1, 0.2, 0.3, 0)
+        assert harness.aggregates_to_csv([agg]).splitlines()[1] == (
+            "path,8,tri,3,0.333333333,2.0,1.5,2.5,0.1,0.2,0.3,0"
+        )
 
     def test_csv_round_trip(self):
         rows = harness.run_sweep(make_spec(trials=3))
@@ -305,6 +328,25 @@ class TestCli:
             "analyze", "ph-bound", "--n", "100", "--alpha", "1", "--eps", "0.5",
         ])
         assert code == 2
+
+    def test_sweep_repeated_sizes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = cli.main([
+            "sweep", "--family", "path", "--process", "tri", "--sizes", "8,8",
+            "--trials", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_parameter_the_family_does_not_take_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c8.el"
+        code = cli.main([
+            "gen", "--family", "cycle", "--n", "8", "--p", "0.1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "takes no p" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_analyze_ph_bound_oversized_exits_2(self, capsys):
         # T = eps * n^2 = 10^8 rounds over 10^5 spans: refused, not allocated

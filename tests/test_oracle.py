@@ -431,6 +431,16 @@ class TestNonmonotoneSearch:
             nonmonotone_search(7, TRI)
         assert err.value.size == census_err.value.size == 2_131_018
 
+    def test_directed_kind_refused_before_census(self, monkeypatch):
+        # the census holds undirected graphs, so a directed outcome arc
+        # such as (2, 1) has no class to look up
+        def no_census(n):
+            raise AssertionError("a census was computed")
+
+        monkeypatch.setattr(oracle, "_census", no_census)
+        with pytest.raises(ProcessGraphMismatchError):
+            nonmonotone_search(3, DHOP)
+
 
 class TestEmpiricalVsExact:
     def test_p3_triangulation_consistency(self):
@@ -445,6 +455,15 @@ class TestEmpiricalVsExact:
         assert report["mean_rounds"] == 0.0
         assert report["z"] == 0.0
         assert report["p_value"] == 1.0
+
+    def test_no_trials_refused_before_oracle_work(self, monkeypatch):
+        def no_oracle(g, kind):
+            raise AssertionError("the oracle was run")
+
+        monkeypatch.setattr(oracle, "expected_rounds", no_oracle)
+        monkeypatch.setattr(oracle, "single_round_distribution", no_oracle)
+        with pytest.raises(ValueError, match="trials"):
+            empirical_vs_exact(path_graph(3), TRI, 0, 1)
 
     def test_twohop_distribution_consistency(self):
         report = empirical_vs_exact(cycle_graph(4), HOP, trials=20_000, seed=77)
