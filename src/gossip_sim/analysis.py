@@ -27,6 +27,7 @@ __all__ = [
     "PH_STEP_LIMIT",
     "PhTable",
     "ph_constants_ok",
+    "check_ph_constants",
     "ph_recurrence",
     "ph_bound_check",
     "chain_span_presence",
@@ -184,6 +185,15 @@ def ph_constants_ok(alpha: float, eps: float) -> bool:
     return (4 - 3 * eps + eps * eps) / (1 - eps) ** 3 <= 5
 
 
+def check_ph_constants(alpha: float, eps: float) -> None:
+    """Raise ValueError naming the constraints unless ``ph_constants_ok``."""
+    if not ph_constants_ok(alpha, eps):
+        raise ValueError(
+            f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
+            "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5"
+        )
+
+
 def ph_recurrence(n: int, T: int, H: int) -> PhTable:
     """Evolve the span-probability majorant for T rounds.
 
@@ -229,11 +239,7 @@ def ph_bound_check(table: PhTable, alpha: float = 9.0, eps: float = 0.01) -> boo
     """True iff ``q[h][t] <= (alpha * t / n^2)^(h-1)`` for all tabulated
     spans and all ``1 <= t <= eps * n^2``; refuses constants that fail
     ``ph_constants_ok`` and a table shorter than that."""
-    if not ph_constants_ok(alpha, eps):
-        raise ValueError(
-            f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
-            "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5"
-        )
+    check_ph_constants(alpha, eps)
     t_max = math.floor(eps * table.n * table.n)
     if t_max > table.tmax:
         raise ValueError(

@@ -155,6 +155,8 @@ def _cmd_analyze_scaling(args) -> int:
 
 
 def _cmd_analyze_ph_bound(args) -> int:
+    # bad constants are refused before the recurrence is paid for
+    analysis.check_ph_constants(args.alpha, args.eps)
     t_max = math.floor(args.eps * args.n * args.n)
     table = analysis.ph_recurrence(args.n, t_max, args.hmax)
     ok = analysis.ph_bound_check(table, args.alpha, args.eps)

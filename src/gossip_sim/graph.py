@@ -56,7 +56,8 @@ class EdgeListFormatError(GraphError):
 class _Graph:
     """Storage shared by both graph types: ``_adj[u]`` and ``_adj_sets[u]``
     hold the (out-)neighbors of ``u``, an undirected edge in both directions.
-    Each subclass writes ``add_edge`` out in full, as it runs per new edge."""
+    Each subclass writes ``add_edge`` out in full, as it runs per new edge;
+    the round kernels in ``process`` write both directly, a round at a time."""
 
     __slots__ = ("n", "_adj", "_adj_sets", "edge_count")
 

@@ -12,11 +12,16 @@ Three processes are implemented:
 The two walks share one kernel, ``twohop_round``; ``directed_twohop_round``
 names it for the directed process.
 
-All draws in a round are made against the start-of-round snapshot: queued
-edges are applied only after every node has taken its turn.  Each trial
-consumes one deterministic random stream; draws are consumed in ascending
-node order, two per node per round, and a skipped draw (a node or
-first-hop target with no out-neighbors) consumes nothing.
+All draws in a round are made against the start-of-round snapshot: the
+adjacency lists, which sampling reads, take the round's edges after every
+node has taken its turn, while each queued edge enters the adjacency sets
+at once, so that the sets are the round's queue.  A kernel that raises
+leaves the graph as it found it.  Tests pin the kernels' draws and
+seeded outputs against a reference copy that queues in a separate set and
+adds each edge by ``add_edge``.  Each trial consumes one deterministic
+random stream; draws are consumed in ascending node order, two per node
+per round, and a skipped draw (a node or first-hop target with no
+out-neighbors) consumes nothing.
 
 The kernels define the semantics.  ``run_to_convergence`` runs them until
 a round adds fewer than ``TAIL_SHARE`` * n edges, then hands the run to a
@@ -158,36 +163,36 @@ def triangulation_round(
     adj_sets = g._adj_sets
     gb = rng.getrandbits
     queued: list[tuple[int, int]] = []
-    queued_set: set[tuple[int, int]] = set()
-    for u in range(g.n):
-        nbrs = adj[u]
-        d = len(nbrs)
-        if d == 0:
-            raise IsolatedNodeError(u)
-        if d == 1:
-            v = w = nbrs[0]
-        else:
-            k = d.bit_length()
-            r = gb(k)
-            while r >= d:
+    try:
+        for u, nbrs in enumerate(adj):
+            d = len(nbrs)
+            if d == 0:
+                raise IsolatedNodeError(u)
+            if d == 1:
+                v = w = nbrs[0]
+            else:
+                k = d.bit_length()
                 r = gb(k)
-            v = nbrs[r]
-            r = gb(k)
-            while r >= d:
+                while r >= d:
+                    r = gb(k)
+                v = nbrs[r]
                 r = gb(k)
-            w = nbrs[r]
-        if draw_log is not None:
-            draw_log.append((u, v, w))
-        if v == w:
-            continue
-        key = (v, w) if v < w else (w, v)
-        if key[1] in adj_sets[key[0]] or key in queued_set:
-            continue
-        queued_set.add(key)
-        queued.append(key)
-    _check_degree_doubling(g, queued)
-    for a, b in queued:
-        g.add_edge(a, b)
+                while r >= d:
+                    r = gb(k)
+                w = nbrs[r]
+            if draw_log is not None:
+                draw_log.append((u, v, w))
+            # the sets hold the snapshot's edges and the queued ones
+            if v == w or w in adj_sets[v]:
+                continue
+            adj_sets[v].add(w)
+            adj_sets[w].add(v)
+            queued.append((v, w) if v < w else (w, v))
+        _check_degree_doubling(g, queued)
+    except BaseException:
+        _unqueue(g, queued, directed=False)
+        raise
+    _apply(g, queued, directed=False)
     return RoundOutcome(round_index, queued, g.edge_count)
 
 
@@ -201,6 +206,25 @@ def _check_degree_doubling(g: UndirectedGraph, queued: list[tuple[int, int]]) ->
             raise DegreeDoublingViolation(
                 f"node {x} would gain {gain} edges at degree {len(g._adj[x])}"
             )
+
+
+def _apply(g, queued: list[tuple[int, int]], directed: bool) -> None:
+    """Append a round's queued edges, already in the sets, to the lists."""
+    adj = g._adj
+    for a, b in queued:
+        adj[a].append(b)
+        if not directed:
+            adj[b].append(a)
+    g.edge_count += len(queued)
+
+
+def _unqueue(g, queued: list[tuple[int, int]], directed: bool) -> None:
+    """Take a round's queued edges back out of the sets."""
+    adj_sets = g._adj_sets
+    for a, b in queued:
+        adj_sets[a].remove(b)
+        if not directed:
+            adj_sets[b].remove(a)
 
 
 def twohop_round(
@@ -223,46 +247,49 @@ def twohop_round(
     adj_sets = g._adj_sets
     gb = rng.getrandbits
     queued: list[tuple[int, int]] = []
-    queued_set: set[tuple[int, int]] = set()
-    for u in range(g.n):
-        nbrs = adj[u]
-        d = len(nbrs)
-        if not d:
-            if directed:
+    try:
+        for u, nbrs in enumerate(adj):
+            d = len(nbrs)
+            if not d:
+                if directed:
+                    continue
+                raise IsolatedNodeError(u)
+            if d > 1:
+                k = d.bit_length()
+                r = gb(k)
+                while r >= d:
+                    r = gb(k)
+                v = nbrs[r]
+            else:
+                v = nbrs[0]
+            nbrs2 = adj[v]
+            d2 = len(nbrs2)
+            if not d2:
                 continue
-            raise IsolatedNodeError(u)
-        if d > 1:
-            k = d.bit_length()
-            r = gb(k)
-            while r >= d:
+            if d2 > 1:
+                k = d2.bit_length()
                 r = gb(k)
-            v = nbrs[r]
-        else:
-            v = nbrs[0]
-        nbrs2 = adj[v]
-        d2 = len(nbrs2)
-        if not d2:
-            continue
-        if d2 > 1:
-            k = d2.bit_length()
-            r = gb(k)
-            while r >= d2:
-                r = gb(k)
-            w = nbrs2[r]
-        else:
-            w = nbrs2[0]
-        if draw_log is not None:
-            draw_log.append((u, v, w))
-        # undirected adjacency sets are symmetric, so this tests {u, w} too
-        if w == u or w in adj_sets[u]:
-            continue
-        key = (u, w) if directed or u < w else (w, u)
-        if key in queued_set:
-            continue
-        queued_set.add(key)
-        queued.append(key)
-    for a, b in queued:
-        g.add_edge(a, b)
+                while r >= d2:
+                    r = gb(k)
+                w = nbrs2[r]
+            else:
+                w = nbrs2[0]
+            if draw_log is not None:
+                draw_log.append((u, v, w))
+            # the sets hold the snapshot's edges and the queued ones, an
+            # undirected edge both ways, so this tests {u, w} too
+            if w == u or w in adj_sets[u]:
+                continue
+            adj_sets[u].add(w)
+            if directed:
+                queued.append((u, w))
+            else:
+                adj_sets[w].add(u)
+                queued.append((u, w) if u < w else (w, u))
+    except BaseException:
+        _unqueue(g, queued, directed)
+        raise
+    _apply(g, queued, directed)
     return RoundOutcome(round_index, queued, g.edge_count)
 
 

@@ -63,6 +63,15 @@ class TestRandomConnected:
         assert format_edge_list(a) == format_edge_list(b)
         assert format_edge_list(a) != format_edge_list(c)
 
+    def test_edges_pinned(self):
+        # frozen so that seeded sweeps over the random family cannot drift
+        assert list(random_connected_graph(16, 0.1, seed=7).edges()) == [
+            (0, 3), (0, 7), (0, 9), (0, 11), (0, 15), (1, 5), (1, 8), (1, 9),
+            (1, 14), (1, 15), (2, 13), (3, 8), (3, 15), (4, 5), (4, 6), (4, 12),
+            (5, 6), (5, 8), (6, 7), (6, 11), (10, 11), (10, 13), (11, 12),
+            (11, 14), (12, 13), (12, 14),
+        ]
+
     def test_always_connected(self):
         for seed in range(30):
             assert random_connected_graph(9, 0.1, seed=seed).is_connected()

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gossip_sim import cli, harness
+from gossip_sim import analysis, cli, harness
 from gossip_sim.generators import path_graph
 from gossip_sim.graph import write_edge_list
 from gossip_sim.oracle import single_round_distribution
@@ -328,6 +328,23 @@ class TestCli:
             "analyze", "ph-bound", "--n", "100", "--alpha", "1", "--eps", "0.5",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("eps", ["0.05", "0.5"])
+    def test_analyze_ph_bound_refuses_constants_before_the_recurrence(
+        self, eps, monkeypatch, capsys
+    ):
+        # at eps = 0.5 the recurrence would be refused for its step budget
+        # instead; at 0.05 it would run for about a second first
+        def never(*args):
+            raise AssertionError("the recurrence ran")
+
+        monkeypatch.setattr(analysis, "ph_recurrence", never)
+        code = cli.main(["analyze", "ph-bound", "--n", "100", "--alpha", "1", "--eps", eps])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: alpha=1.0, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
+            "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5\n"
+        )
 
     def test_sweep_repeated_sizes_exit_2(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
