@@ -45,12 +45,10 @@ from .process import (
 from .analysis import (
     PhTable,
     RoundTrace,
-    TieClass,
     TraceCollector,
     ph_bound_check,
     ph_recurrence,
     smallest_untouched_cut,
-    tie_class,
     traces_to_csv,
 )
 from .oracle import (

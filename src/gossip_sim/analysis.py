@@ -1,13 +1,12 @@
-"""Instrumentation for the discovery processes: tie classes, per-round
-traces, the smallest untouched chain cut, and the span-probability
-recurrence used to bound edge growth along the strong lower-bound chain.
+"""Instrumentation for the discovery processes: per-round traces, the
+smallest untouched chain cut, and the span-probability recurrence used to
+bound edge growth along the strong lower-bound chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 from operator import add, mul
 
@@ -19,8 +18,6 @@ from .process import RoundOutcome, directed_twohop_round, trial_seed
 import random
 
 __all__ = [
-    "TieClass",
-    "tie_class",
     "RoundTrace",
     "TraceCollector",
     "smallest_untouched_cut",
@@ -40,24 +37,6 @@ __all__ = [
 # ph_recurrence's budget on T * n^2, about 2 s of recurrence; it holds the
 # (H - 1) * (T + 1) values it returns and two columns of n
 PH_STEP_LIMIT = 10**7
-
-
-class TieClass(Enum):
-    STRONG = "strong"
-    WEAK = "weak"
-
-
-def tie_class(g: UndirectedGraph, v: int, nodes, delta0: int) -> TieClass:
-    """Strong iff ``v`` has at least ``delta0 / 2`` edges into ``nodes``.
-
-    The threshold is real-valued (no rounding); ``delta0`` is the minimum
-    degree captured at the start of the growth epoch being analyzed.
-    """
-    if delta0 < 1:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    if g.induced_degree(v, nodes) >= delta0 / 2:
-        return TieClass.STRONG
-    return TieClass.WEAK
 
 
 def min_four_hop_reach(g: UndirectedGraph) -> int:
@@ -289,7 +268,7 @@ def chain_span_presence(
         for t in range(rounds + 1):
             for h in spans:
                 pos = positions[h]
-                present = sum(1 for i in pos if i + h - 1 in g._adj_sets[i - 1])
+                present = sum(g._rows[i - 1][i + h - 1] for i in pos)
                 per_trial[(h, t)].append(present / len(pos))
             if t < rounds:
                 directed_twohop_round(g, rng, round_index=t)

@@ -84,10 +84,10 @@ def random_connected_graph(n: int, p: float, seed: int) -> UndirectedGraph:
     last = [x for x in range(n) if degree[x] == 1]
     g.add_edge(last[0], last[1])
     if p > 0.0:
-        # the nodes are in range, so a set test stands for has_edge
-        for u, present in enumerate(g._adj_sets):
+        # the nodes are in range, so a row test stands for has_edge
+        for u, present in enumerate(g._rows):
             for v in range(u + 1, n):
-                if v not in present and rng.random() < p:
+                if not present[v] and rng.random() < p:
                     g.add_edge(u, v)
     return g
 

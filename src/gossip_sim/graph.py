@@ -2,9 +2,11 @@
 
 Both graph classes are grow-only: the simulated processes add edges and
 never remove them.  They share one storage layout: every node's
-(out-)neighbors are kept twice, as a list and as a set, so that uniform
-sampling (list indexing) and membership tests are both O(1).  Nodes are
-dense integers ``0..n-1``.
+(out-)neighbors are kept as a list, for uniform sampling, and as a byte
+row of length n, for membership tests; both are O(1).  The rows cost n^2
+bytes per graph from construction, against the 8 n^2 bytes the lists hold
+once a run reaches the complete graph.  Nodes are dense integers
+``0..n-1``.
 """
 
 from __future__ import annotations
@@ -54,19 +56,21 @@ class EdgeListFormatError(GraphError):
 
 
 class _Graph:
-    """Storage shared by both graph types: ``_adj[u]`` and ``_adj_sets[u]``
-    hold the (out-)neighbors of ``u``, an undirected edge in both directions.
+    """Storage shared by both graph types: ``_adj[u]`` lists the
+    (out-)neighbors of ``u`` and ``_rows[u][v]`` is 1 exactly when the edge
+    from ``u`` to ``v`` is present, an undirected edge in both directions.
     Each subclass writes ``add_edge`` out in full, as it runs per new edge;
-    the round kernels in ``process`` write both directly, a round at a time."""
+    the round kernels in ``process`` write both directly, a round at a time,
+    and set a row's byte when they queue the edge."""
 
-    __slots__ = ("n", "_adj", "_adj_sets", "edge_count")
+    __slots__ = ("n", "_adj", "_rows", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise GraphError(f"need at least one node, got n={n}")
         self.n = n
         self._adj: list[list[int]] = [[] for _ in range(n)]
-        self._adj_sets: list[set[int]] = [set() for _ in range(n)]
+        self._rows = [bytearray(n) for _ in range(n)]
         self.edge_count = 0
         for u, v in edges:
             self.add_edge(u, v)
@@ -78,7 +82,7 @@ class _Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return v in self._adj_sets[u]
+        return bool(self._rows[u][v])
 
     def degree(self, u: int) -> int:
         self._check_node(u)
@@ -96,7 +100,7 @@ class _Graph:
         g = type(self).__new__(type(self))
         g.n = self.n
         g._adj = [list(a) for a in self._adj]
-        g._adj_sets = [set(s) for s in self._adj_sets]
+        g._rows = [r.copy() for r in self._rows]
         g.edge_count = self.edge_count
         return g
 
@@ -134,12 +138,11 @@ class UndirectedGraph(_Graph):
         self._check_node(v)
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}")
-        if v in self._adj_sets[u]:
+        if self._rows[u][v]:
             return False
         self._adj[u].append(v)
         self._adj[v].append(u)
-        self._adj_sets[u].add(v)
-        self._adj_sets[v].add(u)
+        self._rows[u][v] = self._rows[v][u] = 1
         self.edge_count += 1
         return True
 
@@ -169,18 +172,13 @@ class UndirectedGraph(_Graph):
             depth += 1
         return set(frontier)
 
-    def induced_degree(self, v: int, nodes: Iterable[int]) -> int:
-        """Number of edges from ``v`` into the node set ``nodes``."""
-        self._check_node(v)
-        return len(self._adj_sets[v].intersection(nodes))
-
     def is_connected(self) -> bool:
         return self.n == 1 or len(self.reachable_from(0)) == self.n
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
         for u in range(self.n):
-            for v in sorted(self._adj_sets[u]):
+            for v in sorted(self._adj[u]):
                 if u < v:
                     yield (u, v)
 
@@ -196,17 +194,17 @@ class DirectedGraph(_Graph):
         self._check_node(v)
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}")
-        if v in self._adj_sets[u]:
+        if self._rows[u][v]:
             return False
         self._adj[u].append(v)
-        self._adj_sets[u].add(v)
+        self._rows[u][v] = 1
         self.edge_count += 1
         return True
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs in sorted order."""
         for u in range(self.n):
-            for v in sorted(self._adj_sets[u]):
+            for v in sorted(self._adj[u]):
                 yield (u, v)
 
 
@@ -227,9 +225,10 @@ def transitive_closure(g: DirectedGraph) -> DirectedGraph:
                 reach[i] |= row
     closed = DirectedGraph(n)
     for u, row in enumerate(reach):
-        closed._adj[u] = [v for v in range(n) if row >> v & 1 and v != u]
-        closed._adj_sets[u] = set(closed._adj[u])
-        closed.edge_count += len(closed._adj[u])
+        closed._adj[u] = out = [v for v in range(n) if row >> v & 1 and v != u]
+        for v in out:
+            closed._rows[u][v] = 1
+        closed.edge_count += len(out)
     return closed
 
 

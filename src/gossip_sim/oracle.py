@@ -80,7 +80,7 @@ class _Budget:
 def _node_outcomes(g, u: int, kind: ProcessKind) -> tuple[dict[Edge | None, int], int]:
     """Integer weight of each edge-or-None node u produces, and their total:
     d^2 for triangulation, d * lcm(positive out-degrees in N(u)) for the walks."""
-    adj, adj_sets = g._adj, g._adj_sets
+    adj, rows = g._adj, g._rows
     outcomes: dict[Edge | None, int] = {}
 
     def put(edge: Edge | None, w: int) -> None:
@@ -96,7 +96,7 @@ def _node_outcomes(g, u: int, kind: ProcessKind) -> tuple[dict[Edge | None, int]
     if kind is ProcessKind.TRIANGULATION:
         for v in nbrs:
             for w in nbrs:
-                put(None if v == w or w in adj_sets[v] else (min(v, w), max(v, w)), 1)
+                put(None if v == w or rows[v][w] else (min(v, w), max(v, w)), 1)
         return outcomes, d * d
     # lcm() of no degrees is 1: every out-neighbour is a sink
     lcm = math.lcm(*filter(None, map(len, map(adj.__getitem__, nbrs))))
@@ -107,7 +107,7 @@ def _node_outcomes(g, u: int, kind: ProcessKind) -> tuple[dict[Edge | None, int]
             continue
         share = lcm // len(second)
         for w in second:
-            if w == u or w in adj_sets[u]:
+            if w == u or rows[u][w]:
                 put(None, share)
             else:
                 put((u, w) if kind.directed or u < w else (w, u), share)

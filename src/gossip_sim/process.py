@@ -14,11 +14,11 @@ names it for the directed process.
 
 All draws in a round are made against the start-of-round snapshot: the
 adjacency lists, which sampling reads, take the round's edges after every
-node has taken its turn, while each queued edge enters the adjacency sets
-at once, so that the sets are the round's queue.  A kernel that raises
-leaves the graph as it found it.  Tests pin the kernels' draws and
-seeded outputs against a reference copy that queues in a separate set and
-adds each edge by ``add_edge``.  Each trial consumes one deterministic
+node has taken its turn, while each queued edge sets its bytes in the
+adjacency rows at once, so that the rows are the round's queue.  A kernel
+that raises leaves the graph as it found it.  Tests pin the kernels' draws
+and seeded outputs against a reference copy that queues in a separate set
+and adds each edge by ``add_edge``.  Each trial consumes one deterministic
 random stream; draws are consumed in ascending node order, two per node
 per round, and a skipped draw (a node or first-hop target with no
 out-neighbors) consumes nothing.
@@ -160,7 +160,7 @@ def triangulation_round(
     edges are applied after every node has drawn.
     """
     adj = g._adj
-    adj_sets = g._adj_sets
+    rows = g._rows
     gb = rng.getrandbits
     queued: list[tuple[int, int]] = []
     try:
@@ -182,11 +182,10 @@ def triangulation_round(
                 w = nbrs[r]
             if draw_log is not None:
                 draw_log.append((u, v, w))
-            # the sets hold the snapshot's edges and the queued ones
-            if v == w or w in adj_sets[v]:
+            # the rows hold the snapshot's edges and the queued ones
+            if v == w or rows[v][w]:
                 continue
-            adj_sets[v].add(w)
-            adj_sets[w].add(v)
+            rows[v][w] = rows[w][v] = 1
             queued.append((v, w) if v < w else (w, v))
         _check_degree_doubling(g, queued)
     except BaseException:
@@ -209,7 +208,7 @@ def _check_degree_doubling(g: UndirectedGraph, queued: list[tuple[int, int]]) ->
 
 
 def _apply(g, queued: list[tuple[int, int]], directed: bool) -> None:
-    """Append a round's queued edges, already in the sets, to the lists."""
+    """Append a round's queued edges, already in the rows, to the lists."""
     adj = g._adj
     for a, b in queued:
         adj[a].append(b)
@@ -219,12 +218,12 @@ def _apply(g, queued: list[tuple[int, int]], directed: bool) -> None:
 
 
 def _unqueue(g, queued: list[tuple[int, int]], directed: bool) -> None:
-    """Take a round's queued edges back out of the sets."""
-    adj_sets = g._adj_sets
+    """Take a round's queued edges back out of the rows."""
+    rows = g._rows
     for a, b in queued:
-        adj_sets[a].remove(b)
+        rows[a][b] = 0
         if not directed:
-            adj_sets[b].remove(a)
+            rows[b][a] = 0
 
 
 def twohop_round(
@@ -244,7 +243,7 @@ def twohop_round(
     """
     directed = isinstance(g, DirectedGraph)
     adj = g._adj
-    adj_sets = g._adj_sets
+    rows = g._rows
     gb = rng.getrandbits
     queued: list[tuple[int, int]] = []
     try:
@@ -276,15 +275,15 @@ def twohop_round(
                 w = nbrs2[0]
             if draw_log is not None:
                 draw_log.append((u, v, w))
-            # the sets hold the snapshot's edges and the queued ones, an
+            # the rows hold the snapshot's edges and the queued ones, an
             # undirected edge both ways, so this tests {u, w} too
-            if w == u or w in adj_sets[u]:
+            if w == u or rows[u][w]:
                 continue
-            adj_sets[u].add(w)
+            rows[u][w] = 1
             if directed:
                 queued.append((u, w))
             else:
-                adj_sets[w].add(u)
+                rows[w][u] = 1
                 queued.append((u, w) if u < w else (w, u))
     except BaseException:
         _unqueue(g, queued, directed)
@@ -404,7 +403,7 @@ def _walk(g, u: int, rng: random.Random) -> int | None:
     if not g._adj[v]:
         return None
     w = rng.choice(g._adj[v])
-    return None if w == u or w in g._adj_sets[u] else w
+    return None if w == u or g._rows[u][w] else w
 
 
 class _Tail:
@@ -474,8 +473,8 @@ class _TriTail(_Tail):
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
-        n, nbrs = g.n, g._adj_sets
-        self.missing = [(a, b) for a in range(n) for b in sorted(set(range(a + 1, n)) - nbrs[a])]
+        n = g.n
+        self.missing = [(a, b) for a, row in enumerate(g._rows) for b in range(a + 1, n) if not row[b]]
         self.where = {e: i for i, e in enumerate(self.missing)}
 
     def cap(self) -> float:
@@ -488,12 +487,12 @@ class _TriTail(_Tail):
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # a missing pair inside N(u) comes out with 2/d^2 over the bound:
         # 1/M over 2M/d^2, or the kernel's own draw
-        nbrs, adj_sets, missing = self.g._adj[u], self.g._adj_sets, self.missing
+        nbrs, rows, missing = self.g._adj[u], self.g._rows, self.missing
         if 2 * len(missing) >= len(nbrs) ** 2:
             a, b = rng.choice(nbrs), rng.choice(nbrs)
-            return None if a == b or b in adj_sets[a] else (min(a, b), max(a, b))
+            return None if a == b or rows[a][b] else (min(a, b), max(a, b))
         a, b = missing[rng.randrange(len(missing))]
-        return (a, b) if a in adj_sets[u] and b in adj_sets[u] else None
+        return (a, b) if rows[u][a] and rows[u][b] else None
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
         skip, edges = super().draw(rng)
@@ -515,8 +514,8 @@ class _HopTail(_Tail):
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
-        everyone = set(range(g.n))
-        self.miss = [sorted(everyone - nbrs - {u}) for u, nbrs in enumerate(g._adj_sets)]
+        n = g.n
+        self.miss = [[w for w in range(n) if not row[w] and w != u] for u, row in enumerate(g._rows)]
         self.where = [{w: i for i, w in enumerate(targets)} for targets in self.miss]
 
     def cap(self) -> float:
@@ -537,7 +536,7 @@ class _HopTail(_Tail):
         else:
             w = targets[rng.randrange(len(targets))]
             v = rng.choice(self.g._adj[w])
-            if v not in self.g._adj_sets[u] or rng.random() * self.high * deg[v] >= deg[w] * self.low:
+            if not self.g._rows[u][v] or rng.random() * self.high * deg[v] >= deg[w] * self.low:
                 w = None
         return None if w is None else (min(u, w), max(u, w))
 
@@ -555,12 +554,13 @@ class _DirTail(_Tail):
     C[u] / (d_u low): ``c[u][v]`` counts the arcs of v into ``miss[u]``,
     the closure's arcs out of u not yet present, for each v in N+(u) in
     the order of the adjacency list, and ``C[u]`` is their sum.
-    ``missers[w]`` holds the nodes that miss w and ``inn[w]`` N-(w)."""
+    ``missers[w]`` holds the nodes that miss w, ``inn[w]`` N-(w) and
+    ``out[u]`` N+(u), as sets for their intersections."""
 
     def __init__(self, g: DirectedGraph, closure: DirectedGraph) -> None:
         super().__init__(g)
-        out = g._adj_sets
-        self.miss = [r - s - {u} for u, (r, s) in enumerate(zip(closure._adj_sets, out))]
+        self.out = out = [set(a) for a in g._adj]
+        self.miss = [set(r) - s - {u} for u, (r, s) in enumerate(zip(closure._adj, out))]
         self.missers = [set() for _ in range(g.n)]
         self.inn = [set() for _ in range(g.n)]
         for u, targets in enumerate(self.miss):
@@ -587,13 +587,13 @@ class _DirTail(_Tail):
             w = _walk(self.g, u, rng)
             return None if w is None else (u, w)
         v = rng.choices(self.g._adj[u], self.c[u].values())[0]
-        w = rng.choice(tuple(self.g._adj_sets[v] & self.miss[u]))
+        w = rng.choice(tuple(self.out[v] & self.miss[u]))
         return (u, w) if rng.random() * self.deg[v] < self.low else None
 
     def add(self, a: int, b: int) -> None:
         # before the arc exists: paths u -> a -> b gain the arc (a, b), the
         # paths a -> v -> b stop counting, and b's own arcs into miss[a] count
-        c, C, out = self.c, self.C, self.g._adj_sets
+        c, C, out = self.c, self.C, self.out
         self.miss[a].remove(b)
         self.missers[b].remove(a)
         for u in self.inn[a] & self.missers[b]:
@@ -605,5 +605,6 @@ class _DirTail(_Tail):
         c[a][b] = paths = len(out[b] & self.miss[a])
         C[a] += paths - len(dropped)
         self.inn[b].add(a)
+        out[a].add(b)
         self._grow(a)
         self.g.add_edge(a, b)

@@ -6,7 +6,6 @@ from gossip_sim.analysis import (
     PH_STEP_LIMIT,
     PhTable,
     RoundTrace,
-    TieClass,
     TraceCollector,
     chain_span_presence,
     min_four_hop_reach,
@@ -14,7 +13,6 @@ from gossip_sim.analysis import (
     ph_constants_ok,
     ph_recurrence,
     smallest_untouched_cut,
-    tie_class,
     traces_to_csv,
 )
 from gossip_sim.generators import (
@@ -31,43 +29,6 @@ from gossip_sim.process import (
     directed_twohop_round,
     run_to_convergence,
 )
-
-
-class TestTieClass:
-    def test_complete_graph_is_strongly_tied(self):
-        g = complete_graph(4)
-        assert tie_class(g, 0, {1, 2, 3}, delta0=3) is TieClass.STRONG
-
-    def test_path_endpoint_is_weakly_tied(self):
-        g = path_graph(3)
-        assert tie_class(g, 0, {2}, delta0=1) is TieClass.WEAK
-
-    def test_cycle_node_not_tied_to_its_two_hop_set(self):
-        g = cycle_graph(6)
-        assert g.khop_neighborhood(0, 2) == {2, 4}
-        assert g.induced_degree(0, {2, 4}) == 0
-        assert tie_class(g, 0, {2, 4}, delta0=2) is TieClass.WEAK
-        # and the node is trivially strongly tied to its own neighbors
-        assert tie_class(g, 0, {1, 5}, delta0=2) is TieClass.STRONG
-
-    def test_threshold_is_not_rounded(self):
-        # delta0 = 3 puts the cut at 1.5 edges: two edges in, one edge out
-        g = complete_graph(5)
-        assert tie_class(g, 0, {1, 2}, delta0=3) is TieClass.STRONG
-        assert tie_class(g, 0, {1}, delta0=3) is TieClass.WEAK
-
-    def test_flips_only_weak_to_strong_as_edges_arrive(self):
-        g = path_graph(5)
-        target = {3, 4}
-        states = [tie_class(g, 0, target, delta0=2)]
-        for edge in [(0, 3), (0, 4)]:
-            g.add_edge(*edge)
-            states.append(tie_class(g, 0, target, delta0=2))
-        assert states == [TieClass.WEAK, TieClass.STRONG, TieClass.STRONG]
-
-    def test_bad_delta0(self):
-        with pytest.raises(ValueError):
-            tie_class(path_graph(3), 0, {1}, delta0=0)
 
 
 class TestFourHopReach:

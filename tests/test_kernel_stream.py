@@ -4,8 +4,9 @@ and one ``add_edge`` call per new edge.
 
 The kernels define the processes' semantics, so a rewrite of them must
 make the same draws, in the same order, and leave the same graph: the same
-adjacency lists in the same order (later draws index them), the same sets
-and the same edge count.  A kernel that raises leaves the graph as it was.
+neighbor lists in the same order (later draws index them), the same edges
+and membership answers, and the same edge count.  A kernel that raises
+leaves the graph as it was.
 """
 
 import random
@@ -28,7 +29,6 @@ from gossip_sim.process import (
 
 def _reference_triangulation_round(g, rng, round_index=0, draw_log=None):
     adj = g._adj
-    adj_sets = g._adj_sets
     gb = rng.getrandbits
     queued = []
     queued_set = set()
@@ -54,7 +54,7 @@ def _reference_triangulation_round(g, rng, round_index=0, draw_log=None):
         if v == w:
             continue
         key = (v, w) if v < w else (w, v)
-        if key[1] in adj_sets[key[0]] or key in queued_set:
+        if g.has_edge(*key) or key in queued_set:
             continue
         queued_set.add(key)
         queued.append(key)
@@ -67,7 +67,6 @@ def _reference_triangulation_round(g, rng, round_index=0, draw_log=None):
 def _reference_twohop_round(g, rng, round_index=0, draw_log=None):
     directed = isinstance(g, DirectedGraph)
     adj = g._adj
-    adj_sets = g._adj_sets
     gb = rng.getrandbits
     queued = []
     queued_set = set()
@@ -100,7 +99,7 @@ def _reference_twohop_round(g, rng, round_index=0, draw_log=None):
             w = nbrs2[0]
         if draw_log is not None:
             draw_log.append((u, v, w))
-        if w == u or w in adj_sets[u]:
+        if w == u or g.has_edge(u, w):
             continue
         key = (u, w) if directed or u < w else (w, u)
         if key in queued_set:
@@ -113,7 +112,13 @@ def _reference_twohop_round(g, rng, round_index=0, draw_log=None):
 
 
 def _state(g):
-    return [list(a) for a in g._adj], [set(s) for s in g._adj_sets], g.edge_count
+    nodes = range(g.n)
+    return (
+        [g.neighbors(u) for u in nodes],
+        sorted(g.edges()),
+        [[g.has_edge(u, v) for v in nodes] for u in nodes],
+        g.edge_count,
+    )
 
 
 def _cases():

@@ -68,12 +68,13 @@ def _small_graphs(kind, count):
 def _assert_counts_match_a_recount(tail, g, kind):
     """Every count the engine keeps in ``add`` equals its value recounted
     from the graph: degrees, their buckets and extremes, the missing edges
-    with their positions, and on a digraph the two-hop path counts."""
+    with their positions, and on a digraph the out- and in-neighbour sets
+    and the two-hop path counts."""
     deg = [len(out) for out in g._adj]
     assert tail.deg == deg
     assert tail.count == [deg.count(d) for d in range(g.n)]
     assert (tail.low, tail.high) == (min(filter(None, deg)), max(deg))
-    out = g._adj_sets
+    out = [set(a) for a in g._adj]
     if kind is TRI:
         absent = {(a, b) for a in range(g.n) for b in range(a + 1, g.n) if b not in out[a]}
         assert sorted(tail.missing) == sorted(absent)
@@ -83,7 +84,8 @@ def _assert_counts_match_a_recount(tail, g, kind):
             assert sorted(tail.miss[u]) == sorted(set(range(g.n)) - out[u] - {u})
             assert tail.where[u] == {w: i for i, w in enumerate(tail.miss[u])}
     else:
-        reach = transitive_closure(g)._adj_sets
+        reach = [set(a) for a in transitive_closure(g)._adj]
+        assert tail.out == out
         for u in range(g.n):
             miss = reach[u] - out[u]
             assert tail.miss[u] == miss
