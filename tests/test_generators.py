@@ -17,6 +17,7 @@ from gossip_sim.generators import (
     star_graph,
 )
 from gossip_sim.graph import (
+    UndirectedGraph,
     format_edge_list,
     is_strongly_connected,
     is_weakly_connected,
@@ -196,6 +197,15 @@ class TestGenerateDispatch:
     def test_random_needs_p(self):
         with pytest.raises(FamilyConstraintError):
             generate("random", 6)
+
+    def test_membership_matches_the_lists_in_every_family(self):
+        for family in FAMILIES:
+            g = generate(family, 16, seed=5, p=0.3 if family == "random" else None)
+            lists = [g.neighbors(u) for u in range(16)]
+            assert sum(map(len, lists)) == g.edge_count * (2 if isinstance(g, UndirectedGraph) else 1)
+            for u, out in enumerate(lists):
+                assert len(out) == len(set(out))
+                assert [v for v in range(16) if g.has_edge(u, v)] == sorted(out)
 
     def test_parameter_the_family_does_not_take_refused(self):
         # only random reads p and only lollipop reads clique_frac

@@ -179,6 +179,15 @@ class TestQueries:
         assert g.missing_count == 1
         assert h.missing_count == 0
 
+    def test_copy_keeps_membership_apart(self):
+        for g in (path_graph(3), DirectedGraph(3, [(0, 1), (1, 2)])):
+            h = g.copy()
+            assert h.add_edge(0, 2)
+            assert h.has_edge(0, 2)
+            assert not g.has_edge(0, 2) and not g.has_edge(2, 0)
+            assert g.add_edge(0, 2)
+            assert sorted(g.edges()) == sorted(h.edges())
+
 
 class TestDirected:
     def test_add_and_query(self):
@@ -209,6 +218,20 @@ class TestDirected:
         once = transitive_closure(g)
         twice = transitive_closure(once)
         assert set(once.edges()) == set(twice.edges())
+
+    def test_closure_membership_matches_its_lists(self):
+        g = DirectedGraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        closed = transitive_closure(g)
+        # the 3-cycle closes to 6 arcs, the arc (3, 4) stays alone
+        assert closed.edge_count == 7
+        for u in range(5):
+            out = closed.neighbors(u)
+            assert len(out) == len(set(out))
+            for v in range(5):
+                assert closed.has_edge(u, v) == (v in out)
+                if u != v:
+                    assert closed.add_edge(u, v) == (v not in out)
+        assert closed.edge_count == 5 * 4
 
     def test_connectivity_flavors(self):
         cycle = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -265,6 +288,18 @@ class TestEdgeListFormat:
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(GraphError):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize("text", ["4000 1 u\n0 1", "4000 1 d\n0 1"])
+    def test_size_refusals_come_before_the_rows(self, text):
+        # a graph on 4000 nodes would allocate 16 MB of rows
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListFormatError):
+                parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_missing_count_matches_full_scan(self):
         g = cycle_graph(7)

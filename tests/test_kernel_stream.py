@@ -15,7 +15,7 @@ import pytest
 
 from gossip_sim import process
 from gossip_sim.generators import FAMILIES, generate
-from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph
+from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph, transitive_closure
 from gossip_sim.process import (
     DegreeDoublingViolation,
     ProcessConfig,
@@ -169,6 +169,27 @@ def test_rounds_to_convergence_are_pinned(family, n, kind, expected):
         config = ProcessConfig(kind=ProcessKind(kind), seed=trial_seed(1, i))
         rounds.append(run_to_convergence(generate(family, n), config)[0])
     assert rounds == expected
+
+
+@pytest.mark.parametrize(
+    "family, n, kind",
+    [("cycle", 32, "tri"), ("path", 24, "twohop"), ("dstrong", 12, "dtwohop"), ("dweak", 12, "dtwohop")],
+)
+def test_membership_matches_the_lists_at_convergence(family, n, kind):
+    # the kernels write the rows and lists a round at a time, the tail
+    # engines an edge at a time; the run ends on the target graph
+    g = generate(family, n)
+    target = transitive_closure(g) if isinstance(g, DirectedGraph) else None
+    rounds, capped = run_to_convergence(g, ProcessConfig(kind=ProcessKind(kind), seed=trial_seed(2, 0)))
+    assert rounds > 0 and not capped
+    if target is None:
+        assert g.is_complete()
+    else:
+        assert sorted(g.edges()) == sorted(target.edges())
+    for u in range(n):
+        out = g.neighbors(u)
+        assert len(out) == len(set(out))
+        assert [v for v in range(n) if g.has_edge(u, v)] == sorted(out)
 
 
 @pytest.mark.parametrize(
