@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import analysis, harness
@@ -30,14 +29,6 @@ from .process import (
 __all__ = ["main"]
 
 _PROCESS_CHOICES = tuple(k.value for k in ProcessKind)
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("GOSSIP_SIM_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
     sweep.add_argument("--p", type=float, default=None)
     sweep.add_argument("--clique-frac", type=float, default=None)
-    sweep.add_argument("--jobs", type=int, default=_default_jobs())
+    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--aggregate-out", default=None, help="also write per-size aggregates CSV")
     sweep.add_argument(

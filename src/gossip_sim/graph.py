@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 __all__ = [
+    "MAX_NODES",
     "GraphError",
     "InvalidNodeError",
     "SelfLoopError",
@@ -29,6 +30,11 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
 ]
+
+
+# Most nodes a graph may have: its rows take n^2 bytes (64 MiB at this bound)
+# from construction, so n is checked where they are allocated, before them.
+MAX_NODES = 2**13
 
 
 class GraphError(ValueError):
@@ -66,8 +72,8 @@ class _Graph:
     __slots__ = ("n", "_adj", "_rows", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 1:
-            raise GraphError(f"need at least one node, got n={n}")
+        if not 1 <= n <= MAX_NODES:
+            raise GraphError(f"need 1 <= n <= {MAX_NODES} nodes, got n={n}")
         self.n = n
         self._adj: list[list[int]] = [[] for _ in range(n)]
         self._rows = [bytearray(n) for _ in range(n)]
@@ -267,11 +273,6 @@ def parse_edge_list(text: str) -> UndirectedGraph | DirectedGraph:
         raise EdgeListFormatError(f"bad header {lines[0]!r}; n and m must be integers") from None
     if len(lines) - 1 != m:
         raise EdgeListFormatError(f"header declares {m} edges but found {len(lines) - 1}")
-    # bound n by the edge lines before allocating: m arcs touch at most 2m nodes
-    if head[2] == "u" and m < n - 1:
-        raise EdgeListFormatError(f"{m} edges cannot connect {n} nodes")
-    if head[2] == "d" and n > max(1, 2 * m):
-        raise EdgeListFormatError(f"{m} edges cannot touch all of {n} nodes")
     g: UndirectedGraph | DirectedGraph
     g = UndirectedGraph(n) if head[2] == "u" else DirectedGraph(n)
     for ln in lines[1:]:

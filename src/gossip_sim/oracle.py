@@ -45,11 +45,12 @@ __all__ = [
 
 # Steps one public call may take, each charged before it is taken: n^3 per
 # enumerated round (a node has at most (n-1)^2 choices), one per entry of a
-# joint product, one per census edge mask, one per node relabeling.  Every
-# connected graph on <= 6 nodes is accepted (S6/twohop charges most: 474 810,
-# in 0.7 s), C7 is not.  The slowest accepted call found is canonical_form of
-# K9 (9! relabelings of 36 edges, 8-10 s); the P18/twohop round takes 1.0 s,
-# and the P19/twohop round is refused after 0.8 s (2 vCPUs, Python 3.11).
+# joint product, one per census edge mask, one per edge of each node
+# relabeling.  Every connected graph on <= 6 nodes is accepted (S6/twohop
+# charges most: 474 810, in 0.7 s), C7 is not.  canonical_form accepts P8
+# (0.3 s), 8 nodes with 12 edges (0.5 s) and 9 nodes with 1 edge (0.6-0.8 s),
+# and refuses K8 and K9 at once; the P18/twohop round takes 1.0 s, and the
+# P19/twohop round is refused after 0.8 s (2 vCPUs, Python 3.11).
 ORACLE_STEP_LIMIT = 5 * 10**5
 
 Edge = tuple[int, int]
@@ -196,12 +197,14 @@ def _relabelings(n: int, edges):
 
 def canonical_form(n: int, edges) -> tuple[int, tuple[Edge, ...]]:
     """Isomorphism-invariant form: the minimum sorted edge tuple over all
-    node relabelings.  Brute force: charges its n! relabelings up front, so
-    n >= 10 is refused."""
-    budget = _Budget(1)
+    node relabelings.  Brute force: charges its n! relabelings of m edges,
+    max(1, m) * n! steps, up front: n = 8 takes at most 12 edges, n = 9 one,
+    and n >= 10 is refused."""
+    edges = list(edges)
+    budget = _Budget(max(1, len(edges)))
     for k in range(2, n + 1):
-        budget.charge(budget.spent * (k - 1))  # k! so far
-    return (n, min(_relabelings(n, list(edges))))
+        budget.charge(budget.spent * (k - 1))  # m * k! so far
+    return (n, min(_relabelings(n, edges)))
 
 
 @functools.cache

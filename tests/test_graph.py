@@ -5,8 +5,8 @@ import tracemalloc
 import pytest
 
 from gossip_sim.graph import (
+    MAX_NODES,
     DirectedGraph,
-    EdgeListFormatError,
     GraphError,
     InvalidNodeError,
     IsolatedNodeError,
@@ -21,8 +21,10 @@ from gossip_sim.graph import (
     write_edge_list,
 )
 from gossip_sim.generators import (
+    FAMILIES,
     complete_graph,
     cycle_graph,
+    generate,
     path_graph,
     star_graph,
 )
@@ -280,7 +282,6 @@ class TestEdgeListFormat:
             "3 2 u\n0 1\n1 1",
             "3 2 u\n0 1\n1 5",
             "3 2 u\n0 1\nzero one",
-            "100 1 u\n0 1",
             "1000000000 0 u",
             "1000000000 1 d\n0 1",
         ],
@@ -289,17 +290,23 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError):
             parse_edge_list(text)
 
-    @pytest.mark.parametrize("text", ["4000 1 u\n0 1", "4000 1 d\n0 1"])
-    def test_size_refusals_come_before_the_rows(self, text):
-        # a graph on 4000 nodes would allocate 16 MB of rows
-        tracemalloc.start()
-        try:
-            with pytest.raises(EdgeListFormatError):
-                parse_edge_list(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            UndirectedGraph(4, [(0, 1), (2, 3)]),
+            DirectedGraph(5, [(0, 1)]),
+        ]
+        + [
+            generate(family, 8, 1, p=0.3 if family == "random" else None)
+            for family in FAMILIES
+        ],
+        ids=["disconnected", "untouched-nodes", *FAMILIES],
+    )
+    def test_reads_back_what_the_writer_writes(self, graph):
+        again = parse_edge_list(format_edge_list(graph))
+        assert type(again) is type(graph)
+        assert again.n == graph.n
+        assert set(again.edges()) == set(graph.edges())
 
     def test_missing_count_matches_full_scan(self):
         g = cycle_graph(7)
@@ -311,3 +318,36 @@ class TestEdgeListFormat:
             if not g.has_edge(u, v)
         )
         assert g.missing_count == by_scan
+
+
+class TestSizeGate:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: UndirectedGraph(MAX_NODES + 1),
+            lambda: DirectedGraph(MAX_NODES + 1),
+            lambda: generate("cycle", MAX_NODES + 1),
+            lambda: parse_edge_list(f"{MAX_NODES + 1} 0 u"),
+            lambda: parse_edge_list(f"{MAX_NODES + 1} 1 d\n0 1"),
+        ],
+        ids=["undirected", "directed", "generate", "u header", "d header"],
+    )
+    def test_size_refusals_come_before_the_rows(self, build):
+        # MAX_NODES + 1 nodes of rows would take over 64 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_largest_graph_builds(self):
+        g = UndirectedGraph(MAX_NODES)
+        assert g.n == MAX_NODES and g.edge_count == 0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_nodes_refused(self, n):
+        with pytest.raises(GraphError):
+            UndirectedGraph(n)

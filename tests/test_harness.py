@@ -7,7 +7,7 @@ import pytest
 
 from gossip_sim import analysis, cli, harness
 from gossip_sim.generators import path_graph
-from gossip_sim.graph import write_edge_list
+from gossip_sim.graph import MAX_NODES, write_edge_list
 from gossip_sim.oracle import single_round_distribution
 from gossip_sim.process import ProcessKind
 
@@ -371,14 +371,29 @@ class TestCli:
         assert code == 2
         assert "recurrence steps" in capsys.readouterr().err
 
-    def test_jobs_env_default(self, monkeypatch):
+    def test_jobs_defaults_to_one_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("GOSSIP_SIM_JOBS", "3")
         parser = cli._build_parser()
         args = parser.parse_args([
             "sweep", "--family", "path", "--process", "tri",
             "--sizes", "8", "--trials", "1", "--out", "x.csv",
         ])
-        assert args.jobs == 3
+        assert args.jobs == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "path", "--n", str(MAX_NODES + 1)],
+            ["sweep", "--family", "cycle", "--process", "tri",
+             "--sizes", str(MAX_NODES + 1), "--trials", "1"],
+        ],
+        ids=["gen", "sweep"],
+    )
+    def test_oversized_graph_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert str(MAX_NODES) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "p4.el"
