@@ -105,8 +105,8 @@ class _Graph:
     def copy(self):
         g = type(self).__new__(type(self))
         g.n = self.n
-        g._adj = [list(a) for a in self._adj]
-        g._rows = [r.copy() for r in self._rows]
+        g._adj = list(map(list.copy, self._adj))
+        g._rows = list(map(bytearray.copy, self._rows))
         g.edge_count = self.edge_count
         return g
 
@@ -218,10 +218,21 @@ def transitive_closure(g: DirectedGraph) -> DirectedGraph:
     """Reachability digraph of ``g``: edge ``(u, v)`` iff ``u`` has a path to ``v``.
 
     Self-loops are never added, so the result is simple and the operation
-    is idempotent.  Warshall's algorithm over rows held as integer bitsets:
-    O(n^2) big-integer operations, where a search from every node costs
-    O(n m) steps.
+    is idempotent.
     """
+    closed = DirectedGraph(g.n)
+    for u, row in enumerate(_reach(g)):
+        closed._adj[u] = out = [v for v in range(g.n) if row >> v & 1]
+        for v in out:
+            closed._rows[u][v] = 1
+        closed.edge_count += len(out)
+    return closed
+
+
+def _reach(g: DirectedGraph) -> list[int]:
+    """Bit v of row u is set iff u has a path to v != u.  Warshall's
+    algorithm over rows held as integer bitsets: O(n^2) big-integer
+    operations, where a search from every node costs O(n m) steps."""
     n = g.n
     reach = [sum(1 << v for v in a) for a in g._adj]
     for k in range(n):
@@ -229,13 +240,7 @@ def transitive_closure(g: DirectedGraph) -> DirectedGraph:
         for i in range(n):
             if reach[i] & bit:
                 reach[i] |= row
-    closed = DirectedGraph(n)
-    for u, row in enumerate(reach):
-        closed._adj[u] = out = [v for v in range(n) if row >> v & 1 and v != u]
-        for v in out:
-            closed._rows[u][v] = 1
-        closed.edge_count += len(out)
-    return closed
+    return [row & ~(1 << u) for u, row in enumerate(reach)]
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .generators import generate
+from .graph import MAX_NODES
 from .process import DEFAULT_MAX_ROUNDS, ProcessConfig, ProcessKind, trial_seed
 from .process import run_to_convergence
 
@@ -48,8 +48,9 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not self.sizes:
-            raise ValueError("sizes must be nonempty")
+        # refused before the first trial, by the rule every graph meets
+        if not self.sizes or not all(1 <= n <= MAX_NODES for n in self.sizes):
+            raise ValueError(f"sizes must be nonempty and in [1, MAX_NODES = {MAX_NODES}], got {self.sizes}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -129,6 +130,7 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
         for index, n in enumerate(n for n in sizes for _ in range(spec.trials))
     ]
     if spec.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a serial run skips its imports
         # map yields results in task order, whichever worker finishes first
         # the executor starts every worker up front, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(spec.jobs, len(tasks))) as pool:

@@ -27,12 +27,12 @@ The kernels define the semantics.  ``run_to_convergence`` runs them until
 a round adds fewer than ``TAIL_SHARE`` * n edges, then hands the run to a
 tail engine that skips the rounds adding no edge exactly: it caps every
 node's rate by one bound from counts kept up to date edge by edge (degree
-extremes, missing lists, and on a digraph the two-hop paths into missing
-arcs), jumps by geometric gaps from one candidate (round, node) slot to
-the next, and keeps each candidate's one proposed edge with the
-probability that makes the kernels' law exact; a node whose bound reaches
-1 proposes by the kernel's own draw.  Its round counts have the kernels'
-distribution, from another random stream.
+extremes, missing lists, and on a digraph each node's total two-hop paths
+into its missing arcs), jumps by geometric gaps from one candidate
+(round, node) slot to the next, and keeps each candidate's one proposed
+edge with the probability that makes the kernels' law exact; a node whose
+bound reaches 1 proposes by the kernel's own draw.  Its round counts have
+the kernels' distribution, from another random stream.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import (
+from .graph import (  # transitive_closure stays a module attribute for tracers to wrap
     DirectedGraph,
     GraphError,
     IsolatedNodeError,
     UndirectedGraph,
+    _reach,
     transitive_closure,
 )
 
@@ -316,7 +317,7 @@ def convergence_target(g: UndirectedGraph | DirectedGraph, kind: ProcessKind) ->
     """
     _check_input(g, kind)
     if kind.directed:
-        return transitive_closure(g).edge_count
+        return sum(map(int.bit_count, _reach(g)))
     return g.n * (g.n - 1) // 2
 
 
@@ -351,15 +352,15 @@ def run_to_convergence(
     the round's edges are applied, for executed rounds only.
     """
     _check_input(g, config.kind)
-    # convergence_target's closure, computed once and handed to the tail
-    closure = transitive_closure(g) if config.kind.directed else None
-    target = closure.edge_count if config.kind.directed else g.n * (g.n - 1) // 2
+    # convergence_target's reachability, computed once and handed to the tail
+    reach = _reach(g) if config.kind.directed else None
+    target = sum(map(int.bit_count, reach)) if reach else g.n * (g.n - 1) // 2
     rng = random.Random(config.seed)
     step = round_function(config.kind)
     rounds, tail, added = 0, None, g.n
     while g.edge_count < target:
         if tail is None and added < TAIL_SHARE * g.n:
-            tail = _tail(g, config.kind, closure)
+            tail = _tail(g, config.kind, reach)
         if tail is not None:
             skip, edges = tail.draw(rng)
             rounds += skip
@@ -380,12 +381,12 @@ def run_to_convergence(
     return rounds, False
 
 
-def _tail(g, kind: ProcessKind, closure: DirectedGraph | None) -> _Tail:
-    """The tail engine for ``kind`` on ``g``; ``closure`` is the directed
-    walk's convergence target and None for the undirected kinds."""
+def _tail(g, kind: ProcessKind, reach: list[int] | None) -> _Tail:
+    """The tail engine for ``kind`` on ``g``; ``reach`` is ``graph._reach(g)``
+    for the directed walk and None for the undirected kinds."""
     if kind is ProcessKind.TRIANGULATION:
         return _TriTail(g)
-    return _HopTail(g) if closure is None else _DirTail(g, closure)
+    return _HopTail(g) if reach is None else _DirTail(g, reach)
 
 
 def _swap_remove(items: list, where: dict, x) -> None:
@@ -551,25 +552,26 @@ class _HopTail(_Tail):
 class _DirTail(_Tail):
     """Directed two-hop walk: u adds missing arc (u, w) with probability
     sum(1/(d_u d_v)) over v in N+(u) & N-(w), so its rate is at most
-    C[u] / (d_u low): ``c[u][v]`` counts the arcs of v into ``miss[u]``,
-    the closure's arcs out of u not yet present, for each v in N+(u) in
-    the order of the adjacency list, and ``C[u]`` is their sum.
-    ``missers[w]`` holds the nodes that miss w, ``inn[w]`` N-(w) and
-    ``out[u]`` N+(u), as sets for their intersections."""
+    C[u] / (d_u low), where ``C[u]`` counts the two-hop paths from u into
+    ``miss[u]``, the nodes u reaches with no arc to them yet.  ``out[u]``
+    (N+(u)), ``inn[w]`` (N-(w)) and ``miss[u]`` are integer bitsets, and
+    ``missers[w]``, the set of nodes that miss w, is what ``add`` iterates."""
 
-    def __init__(self, g: DirectedGraph, closure: DirectedGraph) -> None:
+    def __init__(self, g: DirectedGraph, reach: list[int]) -> None:
         super().__init__(g)
-        self.out = out = [set(a) for a in g._adj]
-        self.miss = [set(r) - s - {u} for u, (r, s) in enumerate(zip(closure._adj, out))]
-        self.missers = [set() for _ in range(g.n)]
-        self.inn = [set() for _ in range(g.n)]
-        for u, targets in enumerate(self.miss):
-            for w in targets:
-                self.missers[w].add(u)
-            for v in g._adj[u]:
-                self.inn[v].add(u)
-        self.c = [{v: len(out[v] & targets) for v in g._adj[u]} for u, targets in enumerate(self.miss)]
-        self.C = [sum(cu.values()) for cu in self.c]
+        n = g.n
+        self.out = out = [sum(1 << v for v in a) for a in g._adj]
+        self.miss = [r & ~o for r, o in zip(reach, out)]
+        self.inn, self.missers = [0] * n, [set() for _ in range(n)]
+        for u, a in enumerate(g._adj):
+            for v in a:
+                self.inn[v] |= 1 << u
+        for u, m in enumerate(self.miss):
+            while m:
+                low = m & -m
+                self.missers[low.bit_length() - 1].add(u)
+                m ^= low
+        self.C = [sum((out[v] & m).bit_count() for v in a) for a, m in zip(g._adj, self.miss)]
 
     def cap(self) -> float:
         # a node with a path into miss[u] has an out-neighbour, so d_u >= low
@@ -580,31 +582,36 @@ class _DirTail(_Tail):
         return min(1.0, paths / (self.deg[u] * self.low)) if paths else 0.0
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
-        # w comes out with sum(1/(d_u d_v)) over the bound: v in proportion
-        # to c[u][v], w uniform in N+(v) & miss[u], kept with low / d_v, or
-        # the kernel's walk
+        # w comes out with sum(1/(d_u d_v)) over the bound: a uniform path
+        # u -> v -> w into miss[u], kept with low / d_v, or the kernel's walk
         if self.C[u] >= self.deg[u] * self.low:
             w = _walk(self.g, u, rng)
             return None if w is None else (u, w)
-        v = rng.choices(self.g._adj[u], self.c[u].values())[0]
-        w = rng.choice(tuple(self.out[v] & self.miss[u]))
+        r, out_u, inn, m = rng.randrange(self.C[u]), self.out[u], self.inn, self.miss[u]
+        while True:  # lowest w first; an overstated C[u] fails at 1 << -1
+            w = (m & -m).bit_length() - 1
+            via = out_u & inn[w]
+            k = via.bit_count()
+            if r < k:
+                break
+            r -= k
+            m ^= 1 << w
+        for _ in range(r):
+            via &= via - 1
+        v = (via & -via).bit_length() - 1
         return (u, w) if rng.random() * self.deg[v] < self.low else None
 
     def add(self, a: int, b: int) -> None:
         # before the arc exists: paths u -> a -> b gain the arc (a, b), the
         # paths a -> v -> b stop counting, and b's own arcs into miss[a] count
-        c, C, out = self.c, self.C, self.out
-        self.miss[a].remove(b)
+        C, out, bit, rows = self.C, self.out, 1 << b, self.g._rows
+        self.miss[a] ^= bit
         self.missers[b].remove(a)
-        for u in self.inn[a] & self.missers[b]:
-            c[u][a] += 1
-            C[u] += 1
-        dropped = out[a] & self.inn[b]
-        for v in dropped:
-            c[a][v] -= 1
-        c[a][b] = paths = len(out[b] & self.miss[a])
-        C[a] += paths - len(dropped)
-        self.inn[b].add(a)
-        out[a].add(b)
+        for u in self.missers[b]:
+            if rows[u][a]:
+                C[u] += 1
+        C[a] += (out[b] & self.miss[a]).bit_count() - (out[a] & self.inn[b]).bit_count()
+        self.inn[b] |= 1 << a
+        out[a] |= bit
         self._grow(a)
         self.g.add_edge(a, b)

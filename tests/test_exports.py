@@ -25,12 +25,12 @@ def test_every_export_exists():
                 assert hasattr(gossip_sim, alias.name)
 
 
-def test_importing_the_package_loads_neither_numpy_nor_scipy():
-    """NumPy alone adds about 14 MB of resident memory to a run; only the
-    functions that need SciPy import it, when they are called."""
+def _loaded_after_importing_the_package(names):
+    """Which of ``names`` a fresh interpreter has in ``sys.modules`` after
+    ``import gossip_sim, gossip_sim.cli``."""
     code = (
         "import sys, gossip_sim, gossip_sim.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+        f"print(sorted(set(sys.modules) & {set(names)!r}))"
     )
     src = os.path.dirname(os.path.dirname(gossip_sim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -39,4 +39,17 @@ def test_importing_the_package_loads_neither_numpy_nor_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_package_loads_neither_numpy_nor_scipy():
+    """NumPy alone adds about 14 MB of resident memory to a run; only the
+    functions that need SciPy import it, when they are called."""
+    assert _loaded_after_importing_the_package(["numpy", "scipy"]) == "[]"
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """``run_sweep`` imports its process pool only when it starts one, so a
+    serial run does not pay for ``multiprocessing`` and its imports."""
+    names = ["multiprocessing", "concurrent.futures.process"]
+    assert _loaded_after_importing_the_package(names) == "[]"

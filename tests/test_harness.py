@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import subprocess
@@ -59,7 +60,7 @@ class TestRunSweep:
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         spec = make_spec(sizes=[8], trials=2, jobs=5000)
         rows = harness.run_sweep(spec)
         assert started == [2]
@@ -81,6 +82,11 @@ class TestRunSweep:
             make_spec(trials=0)
         with pytest.raises(ValueError):
             make_spec(jobs=0)
+
+    @pytest.mark.parametrize("sizes", [[8, MAX_NODES + 1], [0, 8], [-1]])
+    def test_sizes_outside_the_graph_bound_refused(self, sizes):
+        with pytest.raises(ValueError, match=str(MAX_NODES)):
+            make_spec(sizes=sizes)
 
     def test_repeated_sizes_refused(self):
         # rows are keyed by (n, trial): a repeated size would give two
@@ -394,6 +400,17 @@ class TestCli:
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert str(MAX_NODES) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_sweep_size_refused_before_the_first_trial(self, tmp_path, capsys, monkeypatch):
+        # the cycle(256) trials would run before cycle(8193) failed to build
+        calls = []
+        monkeypatch.setattr(harness, "run_to_convergence", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        argv = ["sweep", "--family", "cycle", "--process", "tri",
+                "--sizes", f"256,{MAX_NODES + 1}", "--trials", "10", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert str(MAX_NODES) in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "p4.el"

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chi2, ks_2samp, mannwhitneyu
 
-from gossip_sim import process
+from gossip_sim import graph, process
 from gossip_sim.generators import (
     complete_graph,
     cycle_graph,
@@ -50,8 +50,8 @@ MIN_P = 1e-3
 Z_MAX = 4.0
 
 
-def _closure(g, kind):
-    return transitive_closure(g) if kind.directed else None
+def _reach(g, kind):
+    return graph._reach(g) if kind.directed else None
 
 
 def _small_graphs(kind, count):
@@ -68,8 +68,9 @@ def _small_graphs(kind, count):
 def _assert_counts_match_a_recount(tail, g, kind):
     """Every count the engine keeps in ``add`` equals its value recounted
     from the graph: degrees, their buckets and extremes, the missing edges
-    with their positions, and on a digraph the out- and in-neighbour sets
-    and the two-hop path counts."""
+    with their positions, and on a digraph the out- and in-neighbour and
+    missing-arc bitsets, the sets of nodes missing each node and the
+    two-hop path totals."""
     deg = [len(out) for out in g._adj]
     assert tail.deg == deg
     assert tail.count == [deg.count(d) for d in range(g.n)]
@@ -85,14 +86,13 @@ def _assert_counts_match_a_recount(tail, g, kind):
             assert tail.where[u] == {w: i for i, w in enumerate(tail.miss[u])}
     else:
         reach = [set(a) for a in transitive_closure(g)._adj]
-        assert tail.out == out
         for u in range(g.n):
             miss = reach[u] - out[u]
-            assert tail.miss[u] == miss
+            assert tail.out[u] == sum(1 << v for v in out[u])
+            assert tail.miss[u] == sum(1 << w for w in miss)
+            assert tail.inn[u] == sum(1 << x for x in range(g.n) if u in out[x])
             assert tail.missers[u] == {x for x in range(g.n) if u in reach[x] - out[x]}
-            assert tail.inn[u] == {x for x in range(g.n) if u in out[x]}
-            assert list(tail.c[u].items()) == [(v, len(out[v] & miss)) for v in g._adj[u]]
-            assert tail.C[u] == sum(tail.c[u].values())
+            assert tail.C[u] == sum(len(out[v] & miss) for v in out[u])
 
 
 @pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
@@ -134,7 +134,7 @@ def test_bounds_and_proposals_match_the_oracle_after_every_round(kind):
 
     for i, g in enumerate(_small_graphs(kind, 40)):
         target = convergence_target(g, kind)
-        tail = process._tail(g, kind, _closure(g, kind))
+        tail = process._tail(g, kind, _reach(g, kind))
         rng = random.Random(trial_seed(63, i))
         while g.edge_count < target:
             edges = tail.draw(rng)[1]
@@ -163,7 +163,7 @@ def test_proposals_match_the_oracle_where_the_bound_reaches_one(g, kind, nodes):
     own walk or draw: the proposals follow the exact per-node law, misses
     included."""
     proposals = 4000
-    tail = process._tail(g, kind, _closure(g, kind))
+    tail = process._tail(g, kind, _reach(g, kind))
     rng = random.Random(trial_seed(72, 0))
     for u in nodes:
         assert tail.bound(u) == 1
@@ -196,7 +196,7 @@ def test_first_nonempty_round_and_skip_match_the_oracle(g, kind):
     trials = 10_000
     dist = single_round_distribution(g, kind)
     empty = float(dist.pop(frozenset()))
-    tail = process._tail(g, kind, _closure(g, kind))
+    tail = process._tail(g, kind, _reach(g, kind))
     rng = random.Random(trial_seed(64, g.n * 100 + g.edge_count))
     counts: Counter = Counter()
     skips = []
@@ -257,7 +257,7 @@ def test_node_shares_and_skip_match_the_oracle_with_many_candidates(make, kind):
     P / (1 - P), P the product of (1 - p_x) over all nodes."""
     trials = 6000
     g = make()
-    tail = process._tail(g, kind, _closure(g, kind))
+    tail = process._tail(g, kind, _reach(g, kind))
     assert 3 < g.n * tail.cap() < g.n
     p = [float(1 - Fraction(w.get(None, 0), total))
          for w, total in (_node_outcomes(g, u, kind) for u in range(g.n))]
@@ -316,6 +316,28 @@ def test_mean_rounds_match_expected_rounds(kind, monkeypatch):
             assert rounds[0] == exact
             continue
         z = (statistics.fmean(rounds) - exact) / (sd / math.sqrt(trials))
+        worst = max(worst, abs(z))
+    assert worst <= Z_MAX
+
+
+def test_directed_mean_rounds_match_expected_rounds(monkeypatch):
+    """dstrong(4), dstrong(6), dweak(8) and dweak(12) under the directed
+    walk, run with ``TAIL_SHARE`` = 1 as above: the kernel runs round 0 and
+    the engine every later round, and the mean rounds of 500 runs each
+    match ``expected_rounds`` (7.0714, 24.0050, 13.2353 and 28.9068)."""
+    monkeypatch.setattr(process, "TAIL_SHARE", 1)
+    trials = 500
+    worst = 0.0
+    cases = [directed_strong_lb(4), directed_strong_lb(6), directed_weak_lb(8), directed_weak_lb(12)]
+    for j, g in enumerate(cases):
+        exact = float(expected_rounds(g, DHOP))
+        target = convergence_target(g, DHOP)
+        rounds = []
+        for i in range(trials):
+            h = g.copy()
+            rounds.append(run_to_convergence(h, ProcessConfig(DHOP, trial_seed(73 + j, i)))[0])
+            assert h.edge_count == target
+        z = (statistics.fmean(rounds) - exact) / (statistics.stdev(rounds) / math.sqrt(trials))
         worst = max(worst, abs(z))
     assert worst <= Z_MAX
 
