@@ -2,15 +2,18 @@
 
 Both graph classes are grow-only: the simulated processes add edges and
 never remove them.  They share one storage layout: every node's
-(out-)neighbors are kept as a list, for uniform sampling, and as a byte
-row of length n, for membership tests; both are O(1).  The rows cost n^2
-bytes per graph from construction, against the 8 n^2 bytes the lists hold
-once a run reaches the complete graph.  Nodes are dense integers
-``0..n-1``.
+(out-)neighbors are kept in a sequence, for uniform sampling, and as a
+byte row of length n, for membership tests; both are O(1).  The sequence
+is a list up to 256 nodes, where CPython's specialised list subscripts
+and appends are fastest, and an ``array('H')`` of 2-byte ints above.  The
+rows cost n^2 bytes per graph from construction, against the 2 n^2 bytes
+the arrays hold once a run above 256 nodes reaches the complete graph.
+Nodes are dense integers ``0..n-1``.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
 
 __all__ = [
@@ -34,7 +37,11 @@ __all__ = [
 
 # Most nodes a graph may have: its rows take n^2 bytes (64 MiB at this bound)
 # from construction, so n is checked where they are allocated, before them.
+# Every node index fits the 2-byte ints of the neighbour arrays.
 MAX_NODES = 2**13
+
+# Most nodes whose graph keeps its neighbours in lists; above, in arrays.
+_LIST_NODES = 256
 
 
 class GraphError(ValueError):
@@ -62,8 +69,9 @@ class EdgeListFormatError(GraphError):
 
 
 class _Graph:
-    """Storage shared by both graph types: ``_adj[u]`` lists the
-    (out-)neighbors of ``u`` and ``_rows[u][v]`` is 1 exactly when the edge
+    """Storage shared by both graph types: ``_adj[u]`` holds the
+    (out-)neighbors of ``u``, a list or an ``array('H')`` by n alone, and
+    ``_rows[u][v]`` is 1 exactly when the edge
     from ``u`` to ``v`` is present, an undirected edge in both directions.
     Each subclass writes ``add_edge`` out in full, as it runs per new edge;
     the round kernels in ``process`` write both directly, a round at a time,
@@ -75,7 +83,9 @@ class _Graph:
         if not 1 <= n <= MAX_NODES:
             raise GraphError(f"need 1 <= n <= {MAX_NODES} nodes, got n={n}")
         self.n = n
-        self._adj: list[list[int]] = [[] for _ in range(n)]
+        self._adj: list[list[int]] | list[array] = (
+            [[] for _ in range(n)] if n <= _LIST_NODES else [array("H") for _ in range(n)]
+        )
         self._rows = [bytearray(n) for _ in range(n)]
         self.edge_count = 0
         for u, v in edges:
@@ -105,7 +115,7 @@ class _Graph:
     def copy(self):
         g = type(self).__new__(type(self))
         g.n = self.n
-        g._adj = list(map(list.copy, self._adj))
+        g._adj = list(map(list.copy if self.n <= _LIST_NODES else array.__copy__, self._adj))
         g._rows = list(map(bytearray.copy, self._rows))
         g.edge_count = self.edge_count
         return g
@@ -222,7 +232,8 @@ def transitive_closure(g: DirectedGraph) -> DirectedGraph:
     """
     closed = DirectedGraph(g.n)
     for u, row in enumerate(_reach(g)):
-        closed._adj[u] = out = [v for v in range(g.n) if row >> v & 1]
+        out = closed._adj[u]
+        out.extend([v for v in range(g.n) if row >> v & 1])
         for v in out:
             closed._rows[u][v] = 1
         closed.edge_count += len(out)

@@ -20,6 +20,7 @@ from .process import DEFAULT_MAX_ROUNDS, ProcessConfig, ProcessKind, trial_seed
 from .process import run_to_convergence
 
 __all__ = [
+    "MAX_SWEEP_CELLS",
     "ExperimentSpec",
     "TrialRow",
     "AggregateRow",
@@ -32,6 +33,12 @@ __all__ = [
     "aggregates_to_csv",
     "scaling_report",
 ]
+
+# Most (size, trial) cells a sweep may hold: its task list takes about 100
+# bytes a cell (10.3 MiB per 10^5), so about 100 MiB at this bound, and the
+# spec is checked before the list is built.
+MAX_SWEEP_CELLS = 10**6
+
 
 @dataclass
 class ExperimentSpec:
@@ -53,6 +60,11 @@ class ExperimentSpec:
             raise ValueError(f"sizes must be nonempty and in [1, MAX_NODES = {MAX_NODES}], got {self.sizes}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if len(self.sizes) * self.trials > MAX_SWEEP_CELLS:
+            raise ValueError(
+                f"sizes x trials must be <= MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}, "
+                f"got {len(self.sizes)} x {self.trials}"
+            )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         # rows are keyed by (n, trial): a repeated size would pool two cells

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -162,8 +163,9 @@ class TestQueries:
         assert UndirectedGraph(1).is_connected()
 
     def test_complete_graph_costs_its_lists_and_one_byte_per_pair(self):
-        # at n = 512 the lists and their ints take about 5 MiB and the rows
-        # 0.3 MiB; a membership set per node would add 16 MiB
+        # at n = 512 the neighbour arrays take 0.5 MiB (lists and their ints
+        # took about 5 MiB) and the rows 0.3 MiB; a membership set per node
+        # would add 16 MiB
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -182,7 +184,13 @@ class TestQueries:
         assert h.missing_count == 0
 
     def test_copy_keeps_membership_apart(self):
-        for g in (path_graph(3), DirectedGraph(3, [(0, 1), (1, 2)])):
+        # 300 nodes keep their neighbours in arrays, the others in lists
+        for g in (
+            path_graph(3),
+            DirectedGraph(3, [(0, 1), (1, 2)]),
+            cycle_graph(300),
+            DirectedGraph(300, [(0, 1), (1, 2)]),
+        ):
             h = g.copy()
             assert h.add_edge(0, 2)
             assert h.has_edge(0, 2)
@@ -351,3 +359,39 @@ class TestSizeGate:
     def test_no_nodes_refused(self, n):
         with pytest.raises(GraphError):
             UndirectedGraph(n)
+
+
+class TestNeighbourStorage:
+    @pytest.mark.parametrize("n, container", [(256, list), (257, array)])
+    def test_container_is_chosen_by_n_alone(self, n, container):
+        for g in (UndirectedGraph(n), DirectedGraph(n), cycle_graph(n), generate("random", n, 1, p=0.02)):
+            for adj in (g._adj, g.copy()._adj):
+                assert {type(a) for a in adj} == {container}
+                assert container is list or {a.typecode for a in adj} == {"H"}
+
+    def test_closure_of_an_array_digraph_matches_its_rows(self):
+        n = 300
+        g = DirectedGraph(n, [(u, u + 1) for u in range(n - 1)])
+        closed = transitive_closure(g)
+        assert closed.edge_count == n * (n - 1) // 2
+        for u in range(n):
+            assert type(closed._adj[u]) is array
+            assert closed.neighbors(u) == list(range(u + 1, n))
+            assert [v for v in range(n) if closed._rows[u][v]] == closed.neighbors(u)
+
+    def test_every_node_fits_the_array_typecode(self):
+        assert MAX_NODES - 1 < 2 ** (8 * array("H").itemsize)
+        assert array("H", [MAX_NODES - 1])[0] == MAX_NODES - 1
+
+    def test_complete_graph_costs_two_bytes_per_neighbour_above_256_nodes(self):
+        # 2 n^2 bytes of arrays and n^2 bytes of rows, 3.2 MiB at n = 1024;
+        # lists and their int objects took 24.7 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            complete_graph(1024)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,11 @@ class TestRunSweep:
     def test_sizes_outside_the_graph_bound_refused(self, sizes):
         with pytest.raises(ValueError, match=str(MAX_NODES)):
             make_spec(sizes=sizes)
+
+    def test_cells_above_the_bound_refused(self):
+        assert make_spec(sizes=[8], trials=harness.MAX_SWEEP_CELLS).trials == harness.MAX_SWEEP_CELLS
+        with pytest.raises(ValueError, match="MAX_SWEEP_CELLS"):
+            make_spec(sizes=[8, 16], trials=harness.MAX_SWEEP_CELLS // 2 + 1)
 
     def test_repeated_sizes_refused(self):
         # rows are keyed by (n, trial): a repeated size would give two
@@ -411,6 +417,25 @@ class TestCli:
         assert cli.main(argv) == 2
         assert str(MAX_NODES) in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    def test_oversized_sweep_refused_before_its_task_list(self, tmp_path, capsys, monkeypatch):
+        # the task list alone would take about 100 MiB at 100 bytes a cell
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_to_convergence", trial)
+        out = tmp_path / "out"
+        argv = ["sweep", "--family", "path", "--process", "tri", "--sizes", "8,16",
+                "--trials", str(harness.MAX_SWEEP_CELLS // 2 + 1), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        assert "MAX_SWEEP_CELLS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "p4.el"

@@ -134,13 +134,19 @@ def _cases():
                 ("twohop", twohop_round, _reference_twohop_round),
             ]
         for name, kernel, reference in kernels:
-            yield pytest.param(family, params, kernel, reference, id=f"{family}-{name}")
+            yield pytest.param(family, 12, params, kernel, reference, id=f"{family}-{name}")
+    # above 256 nodes a graph keeps its neighbours in arrays, not lists
+    for family, params in (("cycle", {}), ("random", {"p": 0.1})):
+        yield pytest.param(family, 300, params, triangulation_round, _reference_triangulation_round,
+                           id=f"{family}300-tri")
+        yield pytest.param(family, 300, params, twohop_round, _reference_twohop_round,
+                           id=f"{family}300-twohop")
 
 
-@pytest.mark.parametrize("family, params, kernel, reference", list(_cases()))
-def test_kernel_matches_the_reference_round_by_round(family, params, kernel, reference):
+@pytest.mark.parametrize("family, n, params, kernel, reference", list(_cases()))
+def test_kernel_matches_the_reference_round_by_round(family, n, params, kernel, reference):
     for seed in (1, 2, 3):
-        g = generate(family, 12, seed, **params)
+        g = generate(family, n, seed, **params)
         h = g.copy()
         rng, ref_rng = random.Random(trial_seed(seed, 0)), random.Random(trial_seed(seed, 0))
         for r in range(5):
@@ -173,7 +179,13 @@ def test_rounds_to_convergence_are_pinned(family, n, kind, expected):
 
 @pytest.mark.parametrize(
     "family, n, kind",
-    [("cycle", 32, "tri"), ("path", 24, "twohop"), ("dstrong", 12, "dtwohop"), ("dweak", 12, "dtwohop")],
+    [
+        ("cycle", 32, "tri"),
+        ("path", 24, "twohop"),
+        ("dstrong", 12, "dtwohop"),
+        ("dweak", 12, "dtwohop"),
+        ("cycle", 300, "twohop"),
+    ],
 )
 def test_membership_matches_the_lists_at_convergence(family, n, kind):
     # the kernels write the rows and lists a round at a time, the tail
