@@ -41,6 +41,8 @@ __all__ = [
 MAX_NODES = 2**13
 
 # Most nodes whose graph keeps its neighbours in lists; above, in arrays.
+# Up to here every node index is one of CPython's cached small ints, so a
+# list holds only pointers (0.6 MiB for complete_graph(256), 2.6 MiB at 384).
 _LIST_NODES = 256
 
 

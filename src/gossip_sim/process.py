@@ -13,7 +13,7 @@ The two walks share one kernel, ``twohop_round``; ``directed_twohop_round``
 names it for the directed process.
 
 All draws in a round are made against the start-of-round snapshot: the
-adjacency lists, which sampling reads, take the round's edges after every
+neighbour sequences, which sampling reads, take the round's edges after every
 node has taken its turn, while each queued edge sets its bytes in the
 adjacency rows at once, so that the rows are the round's queue.  A kernel
 that raises leaves the graph as it found it.  Tests pin the kernels' draws
@@ -209,7 +209,8 @@ def _check_degree_doubling(g: UndirectedGraph, queued: list[tuple[int, int]]) ->
 
 
 def _apply(g, queued: list[tuple[int, int]], directed: bool) -> None:
-    """Append a round's queued edges, already in the rows, to the lists."""
+    """Append a round's queued edges, already in the rows, to the neighbour
+    sequences."""
     adj = g._adj
     for a, b in queued:
         adj[a].append(b)

@@ -167,6 +167,10 @@ def test_kernel_matches_the_reference_round_by_round(family, n, params, kernel, 
         ("cycle", 32, "twohop", [113, 134, 111]),
         ("dstrong", 16, "dtwohop", [187, 239, 227]),
         ("dweak", 16, "dtwohop", [28, 107, 28]),
+        # above 256 nodes the neighbours are arrays; the counts are the lists'
+        ("cycle", 300, "tri", [1581, 2360, 1750]),
+        ("cycle", 300, "twohop", [1781, 1696, 1600]),
+        ("dweak", 300, "dtwohop", [27400, 28787, 33381]),
     ],
 )
 def test_rounds_to_convergence_are_pinned(family, n, kind, expected):
