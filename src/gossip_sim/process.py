@@ -27,18 +27,20 @@ The kernels define the semantics.  ``run_to_convergence`` runs them until
 a round adds fewer than ``TAIL_SHARE`` * n edges, then hands the run to a
 tail engine that skips the rounds adding no edge exactly: it caps every
 node's rate by one bound from counts kept up to date edge by edge (degree
-extremes, missing lists, and on a digraph each node's total two-hop paths
-into its missing arcs), jumps by geometric gaps from one candidate
-(round, node) slot to the next, and keeps each candidate's one proposed
-edge with the probability that makes the kernels' law exact; a node whose
-bound reaches 1 proposes by the kernel's own draw.  Its round counts have
-the kernels' distribution, from another random stream.
+extremes, the missing edges in arrays beside arrays of their positions,
+and on a digraph each node's total two-hop paths into its missing arcs),
+jumps by geometric gaps from one candidate (round, node) slot to the
+next, and keeps each candidate's one proposed edge with the probability
+that makes the kernels' law exact; a node whose bound reaches 1 proposes
+by the kernel's own draw.  Its round counts have the kernels'
+distribution, from another random stream.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -390,10 +392,11 @@ def _tail(g, kind: ProcessKind, reach: list[int] | None) -> _Tail:
     return _HopTail(g) if reach is None else _DirTail(g, reach)
 
 
-def _swap_remove(items: list, where: dict, x) -> None:
-    """Remove ``x`` from ``items`` in O(1); ``where`` maps each item to its
-    index and is kept in step."""
-    i, last = where.pop(x), items.pop()
+def _swap_remove(items: array, where: array, x: int) -> None:
+    """Remove ``x`` from ``items`` in O(1); ``where[y]`` is the index of
+    each item y in ``items`` and is kept in step (a removed item's entry is
+    left stale)."""
+    i, last = where[x], items.pop()
     if i < len(items):
         items[i], where[last] = last, i
 
@@ -470,14 +473,24 @@ class _Tail:
 
 class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
-    probability 2/d_u^2, so its rate is at most 2M/d_u^2.  ``where``
-    indexes ``missing``, so that a pair leaves it in O(1)."""
+    probability 2/d_u^2, so its rate is at most 2M/d_u^2.  ``missing``
+    holds each missing pair a < b as its triangular key b(b-1)/2 + a, in
+    the order of (a, b), and ``where``, a position for each of the n(n-1)/2
+    keys, indexes it, so that a pair leaves it in O(1); both are 4-byte
+    arrays, as more than 65 535 pairs can be missing."""
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
         n = g.n
-        self.missing = [(a, b) for a, row in enumerate(g._rows) for b in range(a + 1, n) if not row[b]]
-        self.where = {e: i for i, e in enumerate(self.missing)}
+        self.missing = missing = array("I")
+        self.where = where = array("I", [0]) * (n * (n - 1) // 2)
+        for a, row in enumerate(g._rows):
+            b = row.find(0, a + 1)  # a row's missing pairs by C-level search
+            while b >= 0:
+                k = b * (b - 1) // 2 + a
+                where[k] = len(missing)
+                missing.append(k)
+                b = row.find(0, b + 1)
 
     def cap(self) -> float:
         return min(1.0, 2 * len(self.missing) / (self.low * self.low))
@@ -493,7 +506,10 @@ class _TriTail(_Tail):
         if 2 * len(missing) >= len(nbrs) ** 2:
             a, b = rng.choice(nbrs), rng.choice(nbrs)
             return None if a == b or rows[a][b] else (min(a, b), max(a, b))
-        a, b = missing[rng.randrange(len(missing))]
+        k = missing[rng.randrange(len(missing))]
+        # k = b(b-1)/2 + a with a < b puts isqrt(8k + 1) at 2b - 1 or 2b
+        b = (math.isqrt(8 * k + 1) + 1) // 2
+        a = k - b * (b - 1) // 2
         return (a, b) if rows[u][a] and rows[u][b] else None
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
@@ -502,7 +518,7 @@ class _TriTail(_Tail):
         return skip, edges
 
     def add(self, a: int, b: int) -> None:
-        _swap_remove(self.missing, self.where, (a, b))
+        _swap_remove(self.missing, self.where, b * (b - 1) // 2 + a)
         self._grow(a)
         self._grow(b)
         self.g.add_edge(a, b)
@@ -512,13 +528,24 @@ class _HopTail(_Tail):
     """Undirected two-hop walk: u adds missing {u, w} with probability
     sum(1/(d_u d_v)) over v in N(u) & N(w), at most high / (d_u low), so its
     rate is at most |miss[u]| high / (d_u low).  ``miss[u]`` lists the
-    nodes u is not adjacent to and ``where[u]`` indexes it."""
+    nodes u is not adjacent to, ascending at the start, and ``where[u]``,
+    a position for each node, indexes it; both are 2-byte arrays, as node
+    ids are."""
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
         n = g.n
-        self.miss = [[w for w in range(n) if not row[w] and w != u] for u, row in enumerate(g._rows)]
-        self.where = [{w: i for i, w in enumerate(targets)} for targets in self.miss]
+        self.miss, self.where = [], []
+        for u, row in enumerate(g._rows):
+            targets, at = array("H"), array("H", [0]) * n
+            w = row.find(0)  # a row's missing nodes by C-level search
+            while w >= 0:
+                if w != u:
+                    at[w] = len(targets)
+                    targets.append(w)
+                w = row.find(0, w + 1)
+            self.miss.append(targets)
+            self.where.append(at)
 
     def cap(self) -> float:
         # |miss[u]| = n - 1 - d_u and d_u >= low

@@ -12,6 +12,8 @@ outcomes on graphs with many candidates per round, its mean rounds against
 import math
 import random
 import statistics
+import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -77,13 +79,16 @@ def _assert_counts_match_a_recount(tail, g, kind):
     assert (tail.low, tail.high) == (min(filter(None, deg)), max(deg))
     out = [set(a) for a in g._adj]
     if kind is TRI:
-        absent = {(a, b) for a in range(g.n) for b in range(a + 1, g.n) if b not in out[a]}
+        # missing holds pair a < b as key b(b-1)/2 + a; where has every key
+        absent = {b * (b - 1) // 2 + a for a in range(g.n) for b in range(a + 1, g.n) if b not in out[a]}
         assert sorted(tail.missing) == sorted(absent)
-        assert tail.where == {e: i for i, e in enumerate(tail.missing)}
+        assert len(tail.where) == g.n * (g.n - 1) // 2
+        assert all(tail.where[k] == i for i, k in enumerate(tail.missing))
     elif kind is HOP:
         for u in range(g.n):
             assert sorted(tail.miss[u]) == sorted(set(range(g.n)) - out[u] - {u})
-            assert tail.where[u] == {w: i for i, w in enumerate(tail.miss[u])}
+            assert len(tail.where[u]) == g.n
+            assert all(tail.where[u][w] == i for i, w in enumerate(tail.miss[u]))
     else:
         reach = [set(a) for a in transitive_closure(g)._adj]
         for u in range(g.n):
@@ -93,6 +98,48 @@ def _assert_counts_match_a_recount(tail, g, kind):
             assert tail.inn[u] == sum(1 << x for x in range(g.n) if u in out[x])
             assert tail.missers[u] == {x for x in range(g.n) if u in reach[x] - out[x]}
             assert tail.C[u] == sum(len(out[v] & miss) for v in out[u])
+
+
+def _fits(values, typecode):
+    return values <= 2 ** (8 * array(typecode).itemsize)
+
+
+def test_index_positions_fit_their_typecodes():
+    """cycle(400) misses 79 400 pairs, more than a 2-byte position holds;
+    every key and position up to MAX_NODES fits the arrays' typecodes."""
+    g = cycle_graph(400)
+    tail = process._TriTail(g)
+    assert len(tail.missing) == 400 * 399 // 2 - 400 > 2**16 - 1
+    assert all(tail.where[k] == i for i, k in enumerate(tail.missing))
+    pairs = graph.MAX_NODES * (graph.MAX_NODES - 1) // 2
+    assert _fits(pairs, tail.missing.typecode) and _fits(pairs, tail.where.typecode)
+    hop = process._HopTail(cycle_graph(300))
+    assert _fits(graph.MAX_NODES, hop.miss[0].typecode) and _fits(graph.MAX_NODES, hop.where[0].typecode)
+
+
+@pytest.mark.parametrize(
+    "kind, bound",
+    [(TRI, lambda n: 8 * (n * (n - 1) // 2)), (HOP, lambda n: 4 * n * n)],
+    ids=["tri", "twohop"],
+)
+def test_index_memory_at_construction(kind, bound):
+    # peak bytes while the engine is built on cycle(300): tri keeps 4-byte
+    # keys of the missing pairs and a 4-byte position per pair; twohop keeps
+    # per node 2-byte missing nodes and a 2-byte position per node; 96 KiB
+    # covers the degree counts, array headers (600 of them for twohop) and
+    # append slack.  A tuple list and a dict peaked at 8.0 MiB here, lists
+    # and dicts per node at 4.1 MiB
+    n = 300
+    g = cycle_graph(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        process._tail(g, kind, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound(n) + 96 * 2**10
 
 
 @pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
