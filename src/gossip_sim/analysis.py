@@ -12,7 +12,7 @@ from operator import add, mul
 
 from .generators import directed_strong_lb
 from .graph import DirectedGraph, UndirectedGraph
-from .harness import _csv_header, _to_csv
+from .harness import _to_csv
 from .process import RoundOutcome, directed_twohop_round, trial_seed
 
 import random
@@ -23,13 +23,11 @@ __all__ = [
     "smallest_untouched_cut",
     "PH_STEP_LIMIT",
     "PhTable",
-    "ph_constants_ok",
     "check_ph_constants",
     "ph_recurrence",
     "ph_bound_check",
     "chain_span_presence",
     "min_four_hop_reach",
-    "TRACE_CSV_HEADER",
     "traces_to_csv",
 ]
 
@@ -40,15 +38,20 @@ PH_STEP_LIMIT = 10**7
 
 
 def min_four_hop_reach(g: UndirectedGraph) -> int:
-    """Smallest ``|N1(u) + N2(u) + N3(u) + N4(u)|`` over all nodes u.
+    """Smallest ``|N1(u) + N2(u) + N3(u) + N4(u)|`` over all nodes u: the
+    size of u's radius-4 ball, less one, found by one breadth-first search.
 
     On a connected graph this is at least ``min(2 * min_degree, n - 1)``,
     which the property suite asserts on evolving graphs.
     """
+    adj = g._adj
     best = g.n
     for u in range(g.n):
-        total = sum(len(g.khop_neighborhood(u, i)) for i in range(1, 5))
-        best = min(best, total)
+        ball = frontier = {u}
+        for _ in range(4):
+            frontier = {y for x in frontier for y in adj[x]} - ball
+            ball = ball | frontier
+        best = min(best, len(ball) - 1)
     return best
 
 
@@ -65,9 +68,6 @@ class RoundTrace:
     min_degree: int
     missing_edges: int
     edges_added: int
-
-
-TRACE_CSV_HEADER = _csv_header(RoundTrace)
 
 
 def traces_to_csv(traces) -> str:
@@ -155,18 +155,14 @@ class PhTable:
         return self.values[h - 2][t]
 
 
-def ph_constants_ok(alpha: float, eps: float) -> bool:
-    """The two constraints the induction places on alpha and eps."""
-    if alpha <= 0 or eps < 0 or alpha * eps >= 1:
-        return False
-    if alpha < 4 + 4 / (1 - alpha * eps):
-        return False
-    return (4 - 3 * eps + eps * eps) / (1 - eps) ** 3 <= 5
-
-
 def check_ph_constants(alpha: float, eps: float) -> None:
-    """Raise ValueError naming the constraints unless ``ph_constants_ok``."""
-    if not ph_constants_ok(alpha, eps):
+    """Raise ValueError unless alpha and eps meet the two constraints the
+    induction places on them; the first divides by 1 - alpha * eps > 0."""
+    if not (
+        alpha > 0 and eps >= 0 and alpha * eps < 1
+        and alpha >= 4 + 4 / (1 - alpha * eps)
+        and (4 - 3 * eps + eps * eps) / (1 - eps) ** 3 <= 5
+    ):
         raise ValueError(
             f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
             "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5"
@@ -203,7 +199,7 @@ def ph_recurrence(n: int, T: int, H: int) -> PhTable:
         # prefix[j] = sum of col[k] for k = 1..j
         prefix = list(accumulate(col[1:], initial=0.0))
         for h in range(n - 1, 1, -1):
-            middle = sum(map(mul, col[1:h], col[h - 1 : 0 : -1]))
+            middle = math.fsum(map(mul, col[1:h], col[h - 1 : 0 : -1]))
             # increment at position i: the sums of col over h+1..h+i-1 and
             # over h+1..n-i, each 0.0 where empty; every one is >= 0
             tail = [prefix[j] - prefix[h] for j in range(h + 1, n)]
@@ -217,7 +213,7 @@ def ph_recurrence(n: int, T: int, H: int) -> PhTable:
 def ph_bound_check(table: PhTable, alpha: float = 9.0, eps: float = 0.01) -> bool:
     """True iff ``q[h][t] <= (alpha * t / n^2)^(h-1)`` for all tabulated
     spans and all ``1 <= t <= eps * n^2``; refuses constants that fail
-    ``ph_constants_ok`` and a table shorter than that."""
+    ``check_ph_constants`` and a table shorter than that."""
     check_ph_constants(alpha, eps)
     t_max = math.floor(eps * table.n * table.n)
     if t_max > table.tmax:
@@ -274,7 +270,7 @@ def chain_span_presence(
                 directed_twohop_round(g, rng, round_index=t)
     result: dict[tuple[int, int], tuple[float, float]] = {}
     for key, samples in per_trial.items():
-        mean = sum(samples) / len(samples)
-        var = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
+        mean = math.fsum(samples) / len(samples)
+        var = math.fsum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
         result[key] = (mean, math.sqrt(var / len(samples)))
     return result

@@ -75,12 +75,10 @@ def random_connected_graph(n: int, p: float, seed: int) -> UndirectedGraph:
     for x in pruefer:
         degree[x] += 1
     for x in pruefer:
-        for leaf in range(n):
-            if degree[leaf] == 1:
-                g.add_edge(leaf, x)
-                degree[leaf] -= 1
-                degree[x] -= 1
-                break
+        leaf = degree.index(1)
+        g.add_edge(leaf, x)
+        degree[leaf] -= 1
+        degree[x] -= 1
     last = [x for x in range(n) if degree[x] == 1]
     g.add_edge(last[0], last[1])
     if p > 0.0:

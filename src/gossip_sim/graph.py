@@ -123,10 +123,10 @@ class _Graph:
         return g
 
     def reachable_from(self, u: int) -> set[int]:
-        """All nodes reachable from ``u``, excluding ``u`` unless on a cycle."""
+        """``u`` and every node reachable from it."""
         self._check_node(u)
         adj = self._adj
-        seen: set[int] = set()
+        seen = {u}
         stack = [u]
         while stack:
             x = stack.pop()
@@ -167,31 +167,8 @@ class UndirectedGraph(_Graph):
     def is_complete(self) -> bool:
         return self.missing_count == 0
 
-    def khop_neighborhood(self, u: int, i: int) -> set[int]:
-        """Nodes at shortest-path distance exactly ``i`` from ``u``.
-
-        Computed on demand by truncated breadth-first search; never cached
-        because the graph mutates between rounds.
-        """
-        self._check_node(u)
-        if i < 1:
-            raise GraphError(f"hop count must be >= 1, got {i}")
-        seen = {u}
-        frontier = [u]
-        depth = 0
-        while frontier and depth < i:
-            nxt = []
-            for x in frontier:
-                for y in self._adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-            depth += 1
-        return set(frontier)
-
     def is_connected(self) -> bool:
-        return self.n == 1 or len(self.reachable_from(0)) == self.n
+        return len(self.reachable_from(0)) == self.n
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
@@ -257,8 +234,6 @@ def _reach(g: DirectedGraph) -> list[int]:
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    if g.n == 1:
-        return True
     if len(g.reachable_from(0)) != g.n:
         return False
     reverse = DirectedGraph(g.n, ((v, u) for u, v in g.edges()))

@@ -8,9 +8,9 @@ from gossip_sim.analysis import (
     RoundTrace,
     TraceCollector,
     chain_span_presence,
+    check_ph_constants,
     min_four_hop_reach,
     ph_bound_check,
-    ph_constants_ok,
     ph_recurrence,
     smallest_untouched_cut,
     traces_to_csv,
@@ -19,7 +19,9 @@ from gossip_sim.generators import (
     complete_graph,
     cycle_graph,
     directed_strong_lb,
+    lollipop_graph,
     path_graph,
+    star_graph,
 )
 from gossip_sim.graph import DirectedGraph
 from gossip_sim.process import (
@@ -40,6 +42,21 @@ class TestFourHopReach:
     def test_long_path_bound(self):
         g = path_graph(12)
         assert min_four_hop_reach(g) >= min(2 * g.min_degree(), g.n - 1)
+
+    @pytest.mark.parametrize(
+        "make, reach",
+        [
+            (lambda: path_graph(5), 4),
+            (lambda: complete_graph(4), 3),
+            (lambda: path_graph(12), 4),
+            (lambda: cycle_graph(12), 8),
+            (lambda: star_graph(7), 6),
+            (lambda: lollipop_graph(12, 0.5), 4),
+        ],
+        ids=["path5", "complete4", "path12", "cycle12", "star7", "lollipop12"],
+    )
+    def test_exact_values(self, make, reach):
+        assert min_four_hop_reach(make()) == reach
 
 
 class TestSmallestUntouchedCut:
@@ -179,9 +196,14 @@ class TestPhRecurrence:
         assert table.q(2, 200) == 1.0
 
     def test_constants_validation(self):
-        assert ph_constants_ok(9.0, 0.01)
-        assert not ph_constants_ok(8.0, 0.01)  # needs >= 8.3956...
-        assert not ph_constants_ok(9.0, 0.2)  # alpha * eps >= 1
+        check_ph_constants(9.0, 0.01)
+        for alpha, eps in [
+            (8.0, 0.01),  # needs >= 8.3956...
+            (9.0, 0.2),  # alpha * eps >= 1
+            (9.0, -0.01),
+        ]:
+            with pytest.raises(ValueError, match="violate"):
+                check_ph_constants(alpha, eps)
         # the recurrence has no constants; the check refuses bad ones
         table = ph_recurrence(10, 5, 4)
         with pytest.raises(ValueError, match="violate"):
@@ -212,6 +234,12 @@ class TestPhBoundCheck:
         table = ph_recurrence(10, 1, 2)
         with pytest.raises(ValueError, match="violate"):
             ph_bound_check(table, alpha=0.0, eps=0.01)
+
+    def test_entry_above_the_bound_fails(self):
+        # one entry raised just above (alpha * t / n^2)^(h - 1) at h = 3, t = 50
+        table = ph_recurrence(100, 100, 8)
+        table.values[3 - 2][50] = (9.0 * 50 / 100**2) ** 2 * 1.01
+        assert not ph_bound_check(table)
 
     def test_zero_eps_is_vacuously_true(self):
         table = ph_recurrence(10, 1, 2)
@@ -248,13 +276,13 @@ class TestChainSpanPresence:
             assert freqs[(h, 0)][0] == 0.0
 
     def test_values_pinned(self):
-        # recorded with a fresh instance built per trial; copying one built
-        # instance must give the same floats
+        # the sums are exactly rounded (math.fsum), so every Python version
+        # gives these floats
         assert chain_span_presence(8, rounds=3, trials=40, master_seed=5) == {
             (2, 0): (0.0, 0.0),
-            (2, 1): (0.03333333333333333, 0.019971489650509246),
-            (2, 2): (0.058333333333333334, 0.023532422926144436),
-            (2, 3): (0.08333333333333334, 0.0286197190602619),
+            (2, 1): (0.03333333333333333, 0.01997148965050927),
+            (2, 2): (0.05833333333333333, 0.023532422926144443),
+            (2, 3): (0.08333333333333333, 0.028619719060261912),
             (3, 0): (0.0, 0.0),
             (3, 1): (0.0, 0.0),
             (3, 2): (0.0, 0.0),

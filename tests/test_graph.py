@@ -120,35 +120,6 @@ class TestSampling:
             assert err.value.node == 2
 
 
-class TestKhop:
-    def test_path_two_hops(self):
-        g = path_graph(5)
-        assert g.khop_neighborhood(2, 2) == {0, 4}
-
-    def test_complete_graph_has_no_second_layer(self):
-        g = complete_graph(4)
-        for u in range(4):
-            assert g.khop_neighborhood(u, 2) == set()
-
-    def test_cycle_opposite_node(self):
-        g = cycle_graph(6)
-        assert g.khop_neighborhood(0, 2) == {2, 4}
-        assert g.khop_neighborhood(0, 3) == {3}
-
-    def test_layers_partition_reachable_nodes(self):
-        g = cycle_graph(6)
-        layers = [g.khop_neighborhood(0, i) for i in range(1, 6)]
-        union: set[int] = set()
-        for layer in layers:
-            assert union.isdisjoint(layer)
-            union |= layer
-        assert union | {0} == set(range(6))
-
-    def test_bad_hop_count(self):
-        with pytest.raises(GraphError):
-            path_graph(3).khop_neighborhood(0, 0)
-
-
 class TestQueries:
     def test_degree_summaries(self):
         assert cycle_graph(6).min_degree() == 2
@@ -250,6 +221,8 @@ class TestDirected:
         assert not is_strongly_connected(chain)
         assert is_weakly_connected(chain)
         assert not is_weakly_connected(DirectedGraph(3, [(0, 1)]))
+        assert is_strongly_connected(DirectedGraph(1))
+        assert is_weakly_connected(DirectedGraph(1))
 
 
 class TestEdgeListFormat:
@@ -290,6 +263,7 @@ class TestEdgeListFormat:
             "3 2 u\n0 1\n1 1",
             "3 2 u\n0 1\n1 5",
             "3 2 u\n0 1\nzero one",
+            "3 1 u\n0 1 2",
             "1000000000 0 u",
             "1000000000 1 d\n0 1",
         ],

@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -67,6 +69,32 @@ class TestRunSweep:
         assert started == [2]
         serial = harness.run_sweep(make_spec(sizes=[8], trials=2))
         assert harness.rows_to_csv(rows) == harness.rows_to_csv(serial)
+
+    @pytest.mark.parametrize(
+        "spec, rounds, digest",
+        [
+            (
+                make_spec(family="cycle", sizes=[8, 64, 300], trials=3, master_seed=7),
+                [17, 9, 20, 258, 263, 246, 1734, 1894, 1740],
+                "0c03085f87d506ae7af9bf84bcf9c52ed4fc2a802e61fee5b4244e5d887dc77b",
+            ),
+            (
+                make_spec(
+                    family="dstrong", kind=ProcessKind.TWOHOP_DIRECTED, sizes=[8, 32], trials=4, master_seed=5
+                ),
+                [58, 59, 47, 48, 758, 994, 777, 959],
+                "44b3ccd22e55231101e3c15a901c15f4877dbd330af1fb013a58719d88d88d33",
+            ),
+        ],
+        ids=["cycle-tri", "dstrong-dtwohop"],
+    )
+    def test_seeded_csv_bytes_pinned(self, spec, rounds, digest):
+        # the same bytes on every Python version; the 300-node cells keep
+        # their neighbours in arrays and reach the tail engine
+        rows = harness.run_sweep(spec)
+        assert [r.rounds for r in rows] == rounds
+        text = harness.rows_to_csv(rows) + harness.aggregates_to_csv(harness.aggregate_rows(rows))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_cap_is_reported(self):
         # one triangulation round cannot finish P4: no single-round outcome
@@ -280,6 +308,24 @@ class TestCli:
         assert cli.main(argv) == 0
         assert out.read_bytes() == first
 
+    def test_sweep_self_check_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the re-read rows have one trial's rounds changed, so their
+        # aggregates differ from the written ones
+        reread = harness.rows_from_csv
+
+        def altered(text):
+            rows = reread(text)
+            return [dataclasses.replace(rows[0], rounds=rows[0].rounds + 1), *rows[1:]]
+
+        monkeypatch.setattr(harness, "rows_from_csv", altered)
+        argv = [
+            "sweep", "--family", "path", "--process", "tri",
+            "--sizes", "8", "--trials", "3", "--seed", "5",
+            "--out", str(tmp_path / "r.csv"), "--self-check",
+        ]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: aggregate self-check failed\n"
+
     def test_sweep_capped_exits_3(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         argv = [
@@ -334,6 +380,11 @@ class TestCli:
         ])
         assert code == 0
         assert capsys.readouterr().out.strip() == "pass"
+
+    def test_analyze_ph_bound_fail_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "ph_bound_check", lambda table, alpha, eps: False)
+        assert cli.main(["analyze", "ph-bound", "--n", "20"]) == 1
+        assert capsys.readouterr().out == "fail\n"
 
     def test_analyze_ph_bound_bad_constants_exit_2(self, capsys):
         code = cli.main([

@@ -70,7 +70,7 @@ def digraphs(draw, max_n: int = 8):
 @BIG
 @given(connected_graphs(), st.integers(0, 2**32), st.integers(1, 4))
 def graph_bookkeeping_suite(g, seed, rounds):
-    """Symmetry, counters, and layer partitions survive process rounds."""
+    """Symmetry, counters, and reachability survive process rounds."""
     rng = random.Random(seed)
     for _ in range(rounds):
         triangulation_round(g, rng)
@@ -81,24 +81,28 @@ def graph_bookkeeping_suite(g, seed, rounds):
     assert g.edge_count == scan
     assert g.missing_count == g.n * (g.n - 1) // 2 - scan
     u = seed % g.n
-    union: set[int] = set()
-    for i in range(1, g.n):
-        layer = g.khop_neighborhood(u, i)
-        assert union.isdisjoint(layer)
-        assert u not in layer
-        union |= layer
-    assert union | {u} == set(range(g.n))
+    assert g.reachable_from(u) == set(range(g.n))
 
 
 @BIG
 @given(connected_graphs(), UNDIRECTED_KINDS, st.integers(0, 2**32), st.integers(0, 3))
 def four_hop_reach_suite(g, kind, seed, rounds):
-    """Within four hops every node sees min(2 * min_degree, n - 1) others."""
+    """Within four hops every node sees min(2 * min_degree, n - 1) others,
+    and ``min_four_hop_reach`` counts them as a distance table does."""
     rng = random.Random(seed)
     step = round_function(kind)
     for _ in range(rounds):
         step(g, rng)
-    assert min_four_hop_reach(g) >= min(2 * g.min_degree(), g.n - 1)
+    reach = min_four_hop_reach(g)
+    assert reach >= min(2 * g.min_degree(), g.n - 1)
+    # Floyd-Warshall distances, counted by brute force
+    inf = g.n
+    dist = [[0 if u == v else 1 if g.has_edge(u, v) else inf for v in range(g.n)] for u in range(g.n)]
+    for k in range(g.n):
+        for i in range(g.n):
+            for j in range(g.n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    assert reach == min(sum(0 < d <= 4 for d in row) for row in dist)
 
 
 @BIG
