@@ -9,8 +9,6 @@ from .graph import (
     IsolatedNodeError,
     SelfLoopError,
     UndirectedGraph,
-    is_strongly_connected,
-    is_weakly_connected,
     read_edge_list,
     transitive_closure,
     write_edge_list,

@@ -156,17 +156,12 @@ class PhTable:
 
 
 def check_ph_constants(alpha: float, eps: float) -> None:
-    """Raise ValueError unless alpha and eps meet the two constraints the
-    induction places on them; the first divides by 1 - alpha * eps > 0."""
-    if not (
-        alpha > 0 and eps >= 0 and alpha * eps < 1
-        and alpha >= 4 + 4 / (1 - alpha * eps)
-        and (4 - 3 * eps + eps * eps) / (1 - eps) ** 3 <= 5
-    ):
-        raise ValueError(
-            f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
-            "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5"
-        )
+    """Raise ValueError unless alpha >= 4 + 4/(1 - alpha * eps), with
+    1 - alpha * eps > 0.  The induction's other constraint,
+    (4 - 3 eps + eps^2)/(1 - eps)^3 <= 5, holds for every eps <= 0.093,
+    and this one admits no eps above (3 - 2 sqrt 2)/4 = 0.0429."""
+    if not (alpha > 0 and eps >= 0 and alpha * eps < 1 and alpha >= 4 + 4 / (1 - alpha * eps)):
+        raise ValueError(f"alpha={alpha}, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps)")
 
 
 def ph_recurrence(n: int, T: int, H: int) -> PhTable:

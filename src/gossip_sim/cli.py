@@ -60,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", required=True, type=int)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
-    sweep.add_argument("--p", type=float, default=None)
-    sweep.add_argument("--clique-frac", type=float, default=None)
+    sweep.add_argument("--p", type=float, default=None, help="extra-edge probability (random family)")
+    sweep.add_argument("--clique-frac", type=float, default=None, help="clique fraction (lollipop family)")
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--aggregate-out", default=None, help="also write per-size aggregates CSV")

@@ -26,8 +26,6 @@ __all__ = [
     "UndirectedGraph",
     "DirectedGraph",
     "transitive_closure",
-    "is_strongly_connected",
-    "is_weakly_connected",
     "read_edge_list",
     "write_edge_list",
     "parse_edge_list",
@@ -231,17 +229,6 @@ def _reach(g: DirectedGraph) -> list[int]:
             if reach[i] & bit:
                 reach[i] |= row
     return [row & ~(1 << u) for u, row in enumerate(reach)]
-
-
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    if len(g.reachable_from(0)) != g.n:
-        return False
-    reverse = DirectedGraph(g.n, ((v, u) for u, v in g.edges()))
-    return len(reverse.reachable_from(0)) == g.n
-
-
-def is_weakly_connected(g: DirectedGraph) -> bool:
-    return UndirectedGraph(g.n, g.edges()).is_connected()
 
 
 def format_edge_list(g: UndirectedGraph | DirectedGraph) -> str:

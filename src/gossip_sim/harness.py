@@ -25,7 +25,6 @@ __all__ = [
     "TrialRow",
     "AggregateRow",
     "ROWS_CSV_HEADER",
-    "AGGREGATES_CSV_HEADER",
     "run_sweep",
     "aggregate_rows",
     "rows_to_csv",
@@ -118,7 +117,6 @@ def _to_csv(record_type, records) -> str:
 
 
 ROWS_CSV_HEADER = _csv_header(TrialRow)
-AGGREGATES_CSV_HEADER = _csv_header(AggregateRow)
 
 
 def _run_one(task: tuple[ExperimentSpec, int, int]) -> tuple[int, bool]:
@@ -137,6 +135,9 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialRow]:
     independent of the process's draws.
     """
     sizes = sorted(spec.sizes)
+    # a size its family refuses fails here, in this process, before any trial
+    for n in sizes:
+        generate(spec.family, n, spec.master_seed, p=spec.p, clique_frac=spec.clique_frac)
     tasks = [
         (spec, n, trial_seed(spec.master_seed, index))
         for index, n in enumerate(n for n in sizes for _ in range(spec.trials))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -204,6 +205,21 @@ class TestPhRecurrence:
         ]:
             with pytest.raises(ValueError, match="violate"):
                 check_ph_constants(alpha, eps)
+        # the induction's other constraint holds wherever the check accepts
+        def accepts(alpha, eps):
+            try:
+                check_ph_constants(alpha, eps)
+            except ValueError:
+                return False
+            return True
+
+        for i in range(501):
+            eps = i * 1e-4
+            if any(accepts(8 + j / 10, eps) for j in range(301)):
+                assert (4 - 3 * eps + eps * eps) / (1 - eps) ** 3 <= 5, eps
+        # no alpha passes above eps = (3 - 2 sqrt 2)/4, reached at 8 + 4 sqrt 2
+        assert accepts(8 + 4 * math.sqrt(2), 0.0428)
+        assert not any(accepts(j / 100, 0.043) for j in range(1, 4001))
         # the recurrence has no constants; the check refuses bad ones
         table = ph_recurrence(10, 5, 4)
         with pytest.raises(ValueError, match="violate"):

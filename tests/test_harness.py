@@ -169,9 +169,9 @@ class TestAggregation:
         # the headers follow the record fields; files already written need
         # these exact bytes
         assert harness.ROWS_CSV_HEADER == "family,n,process,trial,seed,rounds,capped"
-        assert harness.AGGREGATES_CSV_HEADER == (
+        assert harness.aggregates_to_csv([]) == (
             "family,n,process,trials,mean,median,p05,p95,"
-            "per_n_log_n,per_n_log2_n,per_n_sq,capped_trials"
+            "per_n_log_n,per_n_log2_n,per_n_sq,capped_trials\n"
         )
 
     def test_csv_cells(self):
@@ -282,18 +282,39 @@ class TestCli:
         write_edge_list(UndirectedGraph(4, [(0, 1), (2, 3)]), str(path))
         assert cli.main(["run", "--graph", str(path), "--process", "tri"]) == 2
 
-    def test_run_writes_trace(self, tmp_path, capsys):
-        path = tmp_path / "p3.el"
+    @pytest.mark.parametrize(
+        "family, n, process, seed, rounds, rows, digest",
+        [
+            ("path", 3, "twohop", 4, None, None, None),
+            # both reach the tail engine; cycle(300) keeps its neighbours in arrays
+            (
+                "cycle", 300, "tri", 7, 1826, 1011,
+                "18170e0d1b56bb326685a6cbd8f77b78b7cb34760129a701e7bfeae08b131681",
+            ),
+            (
+                "dstrong", 32, "dtwohop", 5, 1137, 302,
+                "9e676992afdbc1c6b47540cecd0a1dc63404465ac8f00f1b0fa1a54bfe3e7376",
+            ),
+        ],
+        ids=["path3-twohop", "cycle300-tri", "dstrong32-dtwohop"],
+    )
+    def test_run_writes_trace(self, tmp_path, capsys, family, n, process, seed, rounds, rows, digest):
+        path = tmp_path / "g.el"
         trace = tmp_path / "trace.csv"
-        write_edge_list(path_graph(3), str(path))
+        assert cli.main(["gen", "--family", family, "--n", str(n), "--out", str(path)]) == 0
         argv = [
-            "run", "--graph", str(path), "--process", "twohop",
-            "--seed", "4", "--trace", str(trace),
+            "run", "--graph", str(path), "--process", process,
+            "--seed", str(seed), "--trace", str(trace),
         ]
         assert cli.main(argv) == 0
         lines = trace.read_text().splitlines()
         assert lines[0] == "round,min_degree,missing_edges,edges_added"
         assert len(lines) >= 2
+        if digest is not None:
+            # the same bytes on every Python version
+            assert json.loads(capsys.readouterr().out)["rounds"] == rounds
+            assert len(lines) - 1 == rows
+            assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
     def test_sweep_writes_deterministic_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -346,7 +367,7 @@ class TestCli:
             "--out", str(out), "--aggregate-out", str(agg),
         ]
         assert cli.main(argv) == 0
-        assert agg.read_text().splitlines()[0] == harness.AGGREGATES_CSV_HEADER
+        assert agg.read_text().splitlines()[0] == harness.aggregates_to_csv([]).rstrip("\n")
 
     def test_analyze_scaling(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -405,8 +426,7 @@ class TestCli:
         code = cli.main(["analyze", "ph-bound", "--n", "100", "--alpha", "1", "--eps", eps])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: alpha=1.0, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps) "
-            "or (4 - 3*eps + eps^2)/(1 - eps)^3 <= 5\n"
+            f"error: alpha=1.0, eps={eps} violate alpha >= 4 + 4/(1 - alpha*eps)\n"
         )
 
     def test_sweep_repeated_sizes_exit_2(self, tmp_path, capsys):
@@ -468,6 +488,20 @@ class TestCli:
         assert cli.main(argv) == 2
         assert str(MAX_NODES) in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_family_constraint_refused_before_the_first_trial(self, tmp_path, capsys, monkeypatch, jobs):
+        # the dstrong(64) and dstrong(128) trials would run before dstrong(129) failed to build
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_to_convergence", trial)
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--family", "dstrong", "--process", "dtwohop", "--sizes", "64,128,129",
+                "--trials", "5", "--seed", "1", "--jobs", jobs, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: dstrong needs even n >= 4, got 129\n"
+        assert not out.exists()
 
     def test_oversized_sweep_refused_before_its_task_list(self, tmp_path, capsys, monkeypatch):
         # the task list alone would take about 100 MiB at 100 bytes a cell

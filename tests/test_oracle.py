@@ -12,7 +12,7 @@ from gossip_sim.generators import (
     path_graph,
     star_graph,
 )
-from gossip_sim import oracle
+from gossip_sim import oracle, process
 from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph
 from gossip_sim.oracle import (
     ORACLE_STEP_LIMIT,
@@ -465,6 +465,20 @@ class TestEmpiricalVsExact:
         monkeypatch.setattr(oracle, "single_round_distribution", no_oracle)
         with pytest.raises(ValueError, match="trials"):
             empirical_vs_exact(path_graph(3), TRI, 0, 1)
+
+    def test_outcome_outside_the_support_raises(self, monkeypatch):
+        # a round no triangulation can make: all three missing edges of P4,
+        # (0, 3) among them, which no node sees as a pair of neighbours
+        def closes_at_once(g, rng, round_index=0):
+            added = [(0, 2), (0, 3), (1, 3)]
+            for u, v in added:
+                g.add_edge(u, v)
+            return process.RoundOutcome(round_index, added, g.edge_count)
+
+        monkeypatch.setattr(process, "triangulation_round", closes_at_once)
+        with pytest.raises(AssertionError, match="outside oracle support") as info:
+            empirical_vs_exact(path_graph(4), TRI, trials=3, seed=1)
+        assert "frozenset({(0, 2), (0, 3), (1, 3)})" in str(info.value)
 
     def test_twohop_distribution_consistency(self):
         report = empirical_vs_exact(cycle_graph(4), HOP, trials=20_000, seed=77)
