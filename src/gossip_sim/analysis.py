@@ -6,6 +6,7 @@ bound edge growth along the strong lower-bound chain.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
@@ -249,9 +250,8 @@ def chain_span_presence(
         raise ValueError(f"need n >= 6 and trials >= 2, got n={n}, trials={trials}")
     spans = (2, 3)
     positions = {h: range(n // 2, n - h + 1) for h in spans}
-    per_trial: dict[tuple[int, int], list[float]] = {
-        (h, t): [] for h in spans for t in range(rounds + 1)
-    }
+    # 8 bytes a value, against a list's pointer and float object
+    per_trial: dict[tuple[int, int], array] = {(h, t): array("d") for h in spans for t in range(rounds + 1)}
     start = directed_strong_lb(n)
     for trial in range(trials):
         g = start.copy()

@@ -59,6 +59,9 @@ class ExperimentSpec:
             raise ValueError(f"sizes must be nonempty and in [1, MAX_NODES = {MAX_NODES}], got {self.sizes}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # ProcessConfig's own rule, met here before any size is built
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if len(self.sizes) * self.trials > MAX_SWEEP_CELLS:
             raise ValueError(
                 f"sizes x trials must be <= MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}, "

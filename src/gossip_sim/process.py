@@ -33,7 +33,9 @@ jumps by geometric gaps from one candidate (round, node) slot to the
 next, and keeps each candidate's one proposed edge with the probability
 that makes the kernels' law exact; a node whose bound reaches 1 proposes
 by the kernel's own draw.  Its round counts have the kernels'
-distribution, from another random stream.
+distribution, from another random stream.  The triangulation engine
+keeps one position per pair missing at the hand-over, found by the pair's
+rank among those pairs, and the two-hop engine n per node.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .graph import (  # transitive_closure stays a module attribute for tracers to wrap
     DirectedGraph,
@@ -475,21 +478,33 @@ class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
     probability 2/d_u^2, so its rate is at most 2M/d_u^2.  ``missing``
     holds each missing pair a < b as its triangular key b(b-1)/2 + a, in
-    the order of (a, b), and ``where``, a position for each of the n(n-1)/2
-    keys, indexes it, so that a pair leaves it in O(1); both are 4-byte
-    arrays, as more than 65 535 pairs can be missing."""
+    the order of (a, b), and ``where`` indexes it, so that a pair leaves it
+    in O(1).  ``where`` has one slot per pair missing when the engine is
+    built, at the pair's rank among them in key order: ``start[b + 1]`` of
+    them lie in columns up to b, and bit a of ``absent[b]`` is set for each
+    of them, {a, b}, so that the slot of {a, b} is ``start[b + 1]`` less the
+    bits of ``absent[b]`` at a and above.  Both arrays are 4-byte, as more
+    than 65 535 pairs can be missing, and the bitsets take about n^2/16
+    bytes."""
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
-        n = g.n
-        self.missing = missing = array("I")
-        self.where = where = array("I", [0]) * (n * (n - 1) // 2)
+        # row b's bytes below b, reversed and read as base-2 digits with 1
+        # for a missing pair, by C-level translation
+        digits = bytes.maketrans(b"\x00\x01", b"10")
+        self.absent = absent = [
+            int(row[b - 1::-1].translate(digits), 2) if b else 0 for b, row in enumerate(g._rows)
+        ]
+        self.start = start = [0, *accumulate(map(int.bit_count, absent))]
+        self.missing = missing = array("I", [0]) * start[-1]
+        self.where = where = array("I", [0]) * start[-1]
+        slot, i = array("I", start[:-1]), 0  # the next slot of each column
         for a, row in enumerate(g._rows):
             b = row.find(0, a + 1)  # a row's missing pairs by C-level search
             while b >= 0:
-                k = b * (b - 1) // 2 + a
-                where[k] = len(missing)
-                missing.append(k)
+                missing[i], where[slot[b]] = b * (b - 1) // 2 + a, i
+                slot[b] += 1
+                i += 1
                 b = row.find(0, b + 1)
 
     def cap(self) -> float:
@@ -506,7 +521,12 @@ class _TriTail(_Tail):
         if 2 * len(missing) >= len(nbrs) ** 2:
             a, b = rng.choice(nbrs), rng.choice(nbrs)
             return None if a == b or rows[a][b] else (min(a, b), max(a, b))
-        k = missing[rng.randrange(len(missing))]
+        m = len(missing)  # randrange(m)'s draw, inlined as in the kernels
+        bits = m.bit_length()
+        r = rng.getrandbits(bits)
+        while r >= m:
+            r = rng.getrandbits(bits)
+        k = missing[r]
         # k = b(b-1)/2 + a with a < b puts isqrt(8k + 1) at 2b - 1 or 2b
         b = (math.isqrt(8 * k + 1) + 1) // 2
         a = k - b * (b - 1) // 2
@@ -518,10 +538,22 @@ class _TriTail(_Tail):
         return skip, edges
 
     def add(self, a: int, b: int) -> None:
-        _swap_remove(self.missing, self.where, b * (b - 1) // 2 + a)
+        # _swap_remove through the slots, the last key decoded as in propose;
+        # the pair is missing, so the graph takes it as _apply writes a round
+        missing, where, start, absent = self.missing, self.where, self.start, self.absent
+        i, last = where[start[b + 1] - (absent[b] >> a).bit_count()], missing.pop()
+        if i < len(missing):
+            y = (math.isqrt(8 * last + 1) + 1) // 2
+            missing[i] = last
+            where[start[y + 1] - (absent[y] >> (last - y * (y - 1) // 2)).bit_count()] = i
         self._grow(a)
         self._grow(b)
-        self.g.add_edge(a, b)
+        g = self.g
+        adj, rows = g._adj, g._rows
+        adj[a].append(b)
+        adj[b].append(a)
+        rows[a][b] = rows[b][a] = 1
+        g.edge_count += 1
 
 
 class _HopTail(_Tail):

@@ -70,6 +70,18 @@ class TestRunSweep:
         serial = harness.run_sweep(make_spec(sizes=[8], trials=2))
         assert harness.rows_to_csv(rows) == harness.rows_to_csv(serial)
 
+    def test_max_rounds_refused_before_the_pool_starts(self, monkeypatch):
+        started = []
+
+        def pool(*args, **kwargs):
+            started.append(kwargs)
+            raise AssertionError("the process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        with pytest.raises(ValueError, match="max_rounds"):
+            harness.run_sweep(make_spec(max_rounds=0, jobs=2))
+        assert started == []
+
     @pytest.mark.parametrize(
         "spec, rounds, digest",
         [

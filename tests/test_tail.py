@@ -79,11 +79,11 @@ def _assert_counts_match_a_recount(tail, g, kind):
     assert (tail.low, tail.high) == (min(filter(None, deg)), max(deg))
     out = [set(a) for a in g._adj]
     if kind is TRI:
-        # missing holds pair a < b as key b(b-1)/2 + a; where has every key
+        # missing holds pair a < b as key b(b-1)/2 + a; where holds its
+        # position at the key's rank among the keys missing at construction
         absent = {b * (b - 1) // 2 + a for a in range(g.n) for b in range(a + 1, g.n) if b not in out[a]}
         assert sorted(tail.missing) == sorted(absent)
-        assert len(tail.where) == g.n * (g.n - 1) // 2
-        assert all(tail.where[k] == i for i, k in enumerate(tail.missing))
+        _assert_positions_at_their_ranks(tail)
     elif kind is HOP:
         for u in range(g.n):
             assert sorted(tail.miss[u]) == sorted(set(range(g.n)) - out[u] - {u})
@@ -100,6 +100,16 @@ def _assert_counts_match_a_recount(tail, g, kind):
             assert tail.C[u] == sum(len(out[v] & miss) for v in out[u])
 
 
+def _assert_positions_at_their_ranks(tail):
+    """Each key's position in ``_TriTail.missing`` is stored in ``where`` at
+    the key's rank among the keys that ``absent`` records as missing at
+    construction, and ``where`` has one slot per such key."""
+    built = sorted(b * (b - 1) // 2 + a for b, bits in enumerate(tail.absent) for a in range(b) if bits >> a & 1)
+    rank = {k: r for r, k in enumerate(built)}
+    assert len(tail.where) == len(built)
+    assert all(tail.where[rank[k]] == i for i, k in enumerate(tail.missing))
+
+
 def _fits(values, typecode):
     return values <= 2 ** (8 * array(typecode).itemsize)
 
@@ -110,11 +120,24 @@ def test_index_positions_fit_their_typecodes():
     g = cycle_graph(400)
     tail = process._TriTail(g)
     assert len(tail.missing) == 400 * 399 // 2 - 400 > 2**16 - 1
-    assert all(tail.where[k] == i for i, k in enumerate(tail.missing))
+    _assert_positions_at_their_ranks(tail)
     pairs = graph.MAX_NODES * (graph.MAX_NODES - 1) // 2
     assert _fits(pairs, tail.missing.typecode) and _fits(pairs, tail.where.typecode)
     hop = process._HopTail(cycle_graph(300))
     assert _fits(graph.MAX_NODES, hop.miss[0].typecode) and _fits(graph.MAX_NODES, hop.where[0].typecode)
+
+
+def _build_peak(g, kind):
+    """Peak bytes traced while the engine for ``kind`` is built on ``g``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        process._tail(g, kind, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 @pytest.mark.parametrize(
@@ -124,22 +147,30 @@ def test_index_positions_fit_their_typecodes():
 )
 def test_index_memory_at_construction(kind, bound):
     # peak bytes while the engine is built on cycle(300): tri keeps 4-byte
-    # keys of the missing pairs and a 4-byte position per pair; twohop keeps
+    # keys of the missing pairs and a 4-byte position per missing pair, less
+    # than 8 bytes per pair of the graph with the bitsets; twohop keeps
     # per node 2-byte missing nodes and a 2-byte position per node; 96 KiB
     # covers the degree counts, array headers (600 of them for twohop) and
     # append slack.  A tuple list and a dict peaked at 8.0 MiB here, lists
     # and dicts per node at 4.1 MiB
     n = 300
+    assert _build_peak(cycle_graph(n), kind) <= bound(n) + 96 * 2**10
+
+
+@pytest.mark.parametrize("kind", [TRI], ids=["tri"])
+def test_index_memory_at_handover(kind):
+    # peak bytes while the engine is built where run_to_convergence builds
+    # it on cycle(512), with about 8% of the pairs missing: 4-byte keys and
+    # 4-byte positions of the missing pairs, and bitsets of at most n^2/8
+    # bytes; 64 KiB covers the degree and slot counts.  A position for every
+    # pair of the graph took 2n^2 bytes here, 512 KiB
+    n = 512
     g = cycle_graph(n)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        process._tail(g, kind, None)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound(n) + 96 * 2**10
+    rng = random.Random(trial_seed(69, 0))
+    step = round_function(kind)
+    while len(step(g, rng).edges_added) >= process.TAIL_SHARE * n:
+        pass
+    assert _build_peak(g, kind) <= 8 * g.missing_count + n * n // 8 + 64 * 2**10
 
 
 @pytest.mark.parametrize("kind", [TRI, HOP, DHOP])
