@@ -298,17 +298,21 @@ class TestCli:
         "family, n, process, seed, rounds, rows, digest",
         [
             ("path", 3, "twohop", 4, None, None, None),
-            # both reach the tail engine; cycle(300) keeps its neighbours in arrays
+            # all three reach the tail engine; cycle(300) keeps its neighbours in arrays
             (
                 "cycle", 300, "tri", 7, 1826, 1011,
                 "18170e0d1b56bb326685a6cbd8f77b78b7cb34760129a701e7bfeae08b131681",
+            ),
+            (
+                "cycle", 300, "twohop", 7, 1843, 1018,
+                "bc73e8ac70e939ef6518d119aaca8e63a65ea31e6b6927d89d3a8c46b5a9a643",
             ),
             (
                 "dstrong", 32, "dtwohop", 5, 1137, 302,
                 "9e676992afdbc1c6b47540cecd0a1dc63404465ac8f00f1b0fa1a54bfe3e7376",
             ),
         ],
-        ids=["path3-twohop", "cycle300-tri", "dstrong32-dtwohop"],
+        ids=["path3-twohop", "cycle300-tri", "cycle300-twohop", "dstrong32-dtwohop"],
     )
     def test_run_writes_trace(self, tmp_path, capsys, family, n, process, seed, rounds, rows, digest):
         path = tmp_path / "g.el"
