@@ -35,7 +35,9 @@ that makes the kernels' law exact; a node whose bound reaches 1 proposes
 by the kernel's own draw.  Its round counts have the kernels'
 distribution, from another random stream.  The triangulation engine
 keeps one position per pair missing at the hand-over, found by the pair's
-rank among those pairs, and the two-hop engine n per node.
+rank among those pairs, and the two-hop engine n per node.  The engines
+draw the words ``randrange`` and ``choice`` would draw, by ``getrandbits``
+alone, and write each added edge into the graph as the kernels do.
 """
 
 from __future__ import annotations
@@ -367,6 +369,7 @@ def run_to_convergence(
     while g.edge_count < target:
         if tail is None and added < TAIL_SHARE * g.n:
             tail = _tail(g, config.kind, reach)
+            add = tail.add
         if tail is not None:
             skip, edges = tail.draw(rng)
             rounds += skip
@@ -379,8 +382,8 @@ def run_to_convergence(
             added = len(outcome.edges_added)
         else:
             for a, b in edges:
-                tail.add(a, b)
-            outcome = RoundOutcome(rounds, edges, g.edge_count)
+                add(a, b)
+            outcome = None if trace_sink is None else RoundOutcome(rounds, edges, g.edge_count)
         if trace_sink is not None:
             trace_sink.end_round(outcome)
         rounds += 1
@@ -404,14 +407,37 @@ def _swap_remove(items: array, where: array, x: int) -> None:
         items[i], where[last] = last, i
 
 
-def _walk(g, u: int, rng: random.Random) -> int | None:
-    """The kernels' two-hop walk from u: its end w if u misses the edge to
-    w, else None."""
-    v = rng.choice(g._adj[u])
-    if not g._adj[v]:
+def _below(gb, m: int) -> int:
+    """``randrange(m)`` of the generator whose ``getrandbits`` is ``gb``: the
+    words ``Random._randbelow_with_getrandbits`` draws, without its layers."""
+    k = m.bit_length()
+    r = gb(k)
+    while r >= m:
+        r = gb(k)
+    return r
+
+
+def _walk(g, u: int, gb) -> int | None:
+    """The kernels' two-hop walk from u, drawn as ``choice`` draws: its end
+    w if u misses the edge to w, else None."""
+    nbrs = g._adj[u]
+    nbrs = g._adj[nbrs[_below(gb, len(nbrs))]]
+    if not nbrs:
         return None
-    w = rng.choice(g._adj[v])
+    w = nbrs[_below(gb, len(nbrs))]
     return None if w == u or g._rows[u][w] else w
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """The columns of a square matrix of integer bitsets: bit u of column w
+    is bit w of row u."""
+    cols = [0] * len(rows)
+    for u, m in enumerate(rows):
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= 1 << u
+            m ^= low
+    return cols
 
 
 class _Tail:
@@ -420,16 +446,17 @@ class _Tail:
 
     While the graph is static, node u adds missing edge e in a round with
     the kernels' probability p[u][e], independently of the other nodes.
-    Each draw takes one common cap Q (``cap``) at least every node's bound
-    q_u (``bound``).  Every (round, node) slot is a candidate with
-    probability Q, so the draw jumps from one candidate to the next by
-    geometric gaps (Devroye 1986, ch. 10) at a cost of O(1 + n Q) steps per
-    round.  A candidate is kept with probability q_u / Q and then proposes
+    Each draw takes one common cap Q, ``cap`` clamped at 1, at least every
+    node's bound q_u (``bound``, clamped alike).  Every (round, node) slot
+    is a candidate with probability Q, so the draw jumps from one candidate
+    to the next by geometric gaps (Devroye 1986, ch. 10) at a cost of
+    O(1 + n Q) steps per round.  A candidate is kept with probability q_u / Q and then proposes
     e with probability p[u][e] / q_u (``propose``), so it adds e with
-    p[u][e].  No rate is kept between draws; ``add`` keeps the counts the
-    bounds read in step with the graph, each in O(1) or a few set
-    operations: ``deg`` the (out-)degrees, ``low`` the least positive one
-    and ``high`` the largest, from the number of nodes at each degree.
+    p[u][e].  No rate is kept between draws; ``add`` writes the edge into
+    the graph and keeps the counts the bounds read in step with it, each in
+    O(1) or a few bitset operations: ``deg`` the (out-)degrees, ``low`` the
+    least positive one and ``high`` the largest, from the number of nodes
+    at each degree.
     """
 
     def __init__(self, g) -> None:
@@ -450,25 +477,35 @@ class _Tail:
         if d == self.high:
             self.high = d + 1
 
+    def _join(self, a: int, b: int) -> None:
+        # missing {a, b} joins the graph as _apply writes a round's edges
+        self._grow(a)
+        self._grow(b)
+        g = self.g
+        g._adj[a].append(b)
+        g._adj[b].append(a)
+        g._rows[a][b] = g._rows[b][a] = 1
+        g.edge_count += 1
+
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
         """Number of empty rounds before the next round that adds an edge,
         and the edges that round adds, in order; the graph is not changed."""
-        n, cap = self.g.n, self.cap()
+        n, cap = self.g.n, min(1.0, self.cap())
         log_stay = math.log1p(-cap) if cap < 1.0 else -math.inf
-        bound, propose = self.bound, self.propose
+        bound, propose, uniform, log = self.bound, self.propose, rng.random, math.log
         # Slots run over (round, node) in order, each a candidate with
         # probability cap; ``end`` closes the round of the latest candidate.
         # A jump past it skips the rounds without one and lands on the next
         # round's first candidate, conditioned on the round having one.
         slot, end, edges = -1, 0, []
         while True:
-            slot += 1 + int(math.log(1.0 - rng.random()) / log_stay)
+            slot += 1 + int(log(1.0 - uniform()) / log_stay)
             if slot >= end:
                 if edges:
-                    return end // n - 1, list(dict.fromkeys(edges))
+                    return end // n - 1, edges if len(edges) == 1 else list(dict.fromkeys(edges))
                 end = slot - slot % n + n
             u = slot % n
-            if rng.random() * cap < bound(u):
+            if uniform() * cap < bound(u):
                 e = propose(u, rng)
                 if e is not None:
                     edges.append(e)
@@ -508,11 +545,12 @@ class _TriTail(_Tail):
                 b = row.find(0, b + 1)
 
     def cap(self) -> float:
-        return min(1.0, 2 * len(self.missing) / (self.low * self.low))
+        return 2 * len(self.missing) / (self.low * self.low)
 
     def bound(self, u: int) -> float:
         d = self.deg[u]
-        return min(1.0, 2 * len(self.missing) / (d * d))
+        q = 2 * len(self.missing) / (d * d)
+        return q if q < 1.0 else 1.0
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # a missing pair inside N(u) comes out with 2/d^2 over the bound:
@@ -538,22 +576,14 @@ class _TriTail(_Tail):
         return skip, edges
 
     def add(self, a: int, b: int) -> None:
-        # _swap_remove through the slots, the last key decoded as in propose;
-        # the pair is missing, so the graph takes it as _apply writes a round
+        # _swap_remove through the slots, the last key decoded as in propose
         missing, where, start, absent = self.missing, self.where, self.start, self.absent
         i, last = where[start[b + 1] - (absent[b] >> a).bit_count()], missing.pop()
         if i < len(missing):
             y = (math.isqrt(8 * last + 1) + 1) // 2
             missing[i] = last
             where[start[y + 1] - (absent[y] >> (last - y * (y - 1) // 2)).bit_count()] = i
-        self._grow(a)
-        self._grow(b)
-        g = self.g
-        adj, rows = g._adj, g._rows
-        adj[a].append(b)
-        adj[b].append(a)
-        rows[a][b] = rows[b][a] = 1
-        g.edge_count += 1
+        self._join(a, b)
 
 
 class _HopTail(_Tail):
@@ -582,21 +612,23 @@ class _HopTail(_Tail):
     def cap(self) -> float:
         # |miss[u]| = n - 1 - d_u and d_u >= low
         low = self.low
-        return min(1.0, (self.g.n - 1 - low) * self.high / (low * low))
+        return (self.g.n - 1 - low) * self.high / (low * low)
 
     def bound(self, u: int) -> float:
-        return min(1.0, len(self.miss[u]) * self.high / (self.deg[u] * self.low))
+        q = len(self.miss[u]) * self.high / (self.deg[u] * self.low)
+        return q if q < 1.0 else 1.0
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # w comes out with sum(1/(d_u d_v)) over the bound: w uniform in
         # miss[u], v uniform in N(w) kept if in N(u) with d_w low / (high d_v),
         # or the kernel's walk
-        deg, targets = self.deg, self.miss[u]
+        deg, targets, gb = self.deg, self.miss[u], rng.getrandbits
         if len(targets) * self.high >= deg[u] * self.low:
-            w = _walk(self.g, u, rng)
+            w = _walk(self.g, u, gb)
         else:
-            w = targets[rng.randrange(len(targets))]
-            v = rng.choice(self.g._adj[w])
+            w = targets[_below(gb, len(targets))]
+            nbrs = self.g._adj[w]
+            v = nbrs[_below(gb, len(nbrs))]
             if not self.g._rows[u][v] or rng.random() * self.high * deg[v] >= deg[w] * self.low:
                 w = None
         return None if w is None else (min(u, w), max(u, w))
@@ -604,9 +636,7 @@ class _HopTail(_Tail):
     def add(self, a: int, b: int) -> None:
         _swap_remove(self.miss[a], self.where[a], b)
         _swap_remove(self.miss[b], self.where[b], a)
-        self._grow(a)
-        self._grow(b)
-        self.g.add_edge(a, b)
+        self._join(a, b)
 
 
 class _DirTail(_Tail):
@@ -614,40 +644,35 @@ class _DirTail(_Tail):
     sum(1/(d_u d_v)) over v in N+(u) & N-(w), so its rate is at most
     C[u] / (d_u low), where ``C[u]`` counts the two-hop paths from u into
     ``miss[u]``, the nodes u reaches with no arc to them yet.  ``out[u]``
-    (N+(u)), ``inn[w]`` (N-(w)) and ``miss[u]`` are integer bitsets, and
-    ``missers[w]``, the set of nodes that miss w, is what ``add`` iterates."""
+    (N+(u)), ``inn[w]`` (N-(w)), ``miss[u]`` and ``missers[w]``, the nodes
+    that miss w, are integer bitsets; ``add`` walks the bits of
+    ``missers[b] & inn[a]`` alone."""
 
     def __init__(self, g: DirectedGraph, reach: list[int]) -> None:
         super().__init__(g)
-        n = g.n
-        self.out = out = [sum(1 << v for v in a) for a in g._adj]
+        # row u reversed and read as base-2 digits, by C-level translation
+        digits = bytes.maketrans(b"\x00\x01", b"01")
+        self.out = out = [int(row[::-1].translate(digits), 2) for row in g._rows]
         self.miss = [r & ~o for r, o in zip(reach, out)]
-        self.inn, self.missers = [0] * n, [set() for _ in range(n)]
-        for u, a in enumerate(g._adj):
-            for v in a:
-                self.inn[v] |= 1 << u
-        for u, m in enumerate(self.miss):
-            while m:
-                low = m & -m
-                self.missers[low.bit_length() - 1].add(u)
-                m ^= low
+        self.inn, self.missers = _transpose(out), _transpose(self.miss)
         self.C = [sum((out[v] & m).bit_count() for v in a) for a, m in zip(g._adj, self.miss)]
 
     def cap(self) -> float:
         # a node with a path into miss[u] has an out-neighbour, so d_u >= low
-        return min(1.0, max(self.C) / (self.low * self.low))
+        return max(self.C) / (self.low * self.low)
 
     def bound(self, u: int) -> float:
         paths = self.C[u]
-        return min(1.0, paths / (self.deg[u] * self.low)) if paths else 0.0
+        q = paths / (self.deg[u] * self.low) if paths else 0.0
+        return q if q < 1.0 else 1.0
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # w comes out with sum(1/(d_u d_v)) over the bound: a uniform path
         # u -> v -> w into miss[u], kept with low / d_v, or the kernel's walk
         if self.C[u] >= self.deg[u] * self.low:
-            w = _walk(self.g, u, rng)
+            w = _walk(self.g, u, rng.getrandbits)
             return None if w is None else (u, w)
-        r, out_u, inn, m = rng.randrange(self.C[u]), self.out[u], self.inn, self.miss[u]
+        r, out_u, inn, m = _below(rng.getrandbits, self.C[u]), self.out[u], self.inn, self.miss[u]
         while True:  # lowest w first; an overstated C[u] fails at 1 << -1
             w = (m & -m).bit_length() - 1
             via = out_u & inn[w]
@@ -664,14 +689,19 @@ class _DirTail(_Tail):
     def add(self, a: int, b: int) -> None:
         # before the arc exists: paths u -> a -> b gain the arc (a, b), the
         # paths a -> v -> b stop counting, and b's own arcs into miss[a] count
-        C, out, bit, rows = self.C, self.out, 1 << b, self.g._rows
+        C, out, inn, bit = self.C, self.out, self.inn, 1 << b
         self.miss[a] ^= bit
-        self.missers[b].remove(a)
-        for u in self.missers[b]:
-            if rows[u][a]:
-                C[u] += 1
-        C[a] += (out[b] & self.miss[a]).bit_count() - (out[a] & self.inn[b]).bit_count()
-        self.inn[b] |= 1 << a
+        self.missers[b] ^= 1 << a
+        gain = self.missers[b] & inn[a]  # the nodes u with paths u -> a -> b
+        while gain:
+            low = gain & -gain
+            C[low.bit_length() - 1] += 1
+            gain ^= low
+        C[a] += (out[b] & self.miss[a]).bit_count() - (out[a] & inn[b]).bit_count()
+        inn[b] |= 1 << a
         out[a] |= bit
         self._grow(a)
-        self.g.add_edge(a, b)
+        g = self.g
+        g._adj[a].append(b)
+        g._rows[a][b] = 1
+        g.edge_count += 1

@@ -6,7 +6,8 @@ The kernels define the processes' semantics, so a rewrite of them must
 make the same draws, in the same order, and leave the same graph: the same
 neighbor lists in the same order (later draws index them), the same edges
 and membership answers, and the same edge count.  A kernel that raises
-leaves the graph as it was.
+leaves the graph as it was.  The tail engines' draws must take the same
+words as ``randrange`` and ``choice``.
 """
 
 import random
@@ -238,3 +239,31 @@ def test_degree_doubling_violation_leaves_the_graph_as_it_was(monkeypatch):
     with pytest.raises(DegreeDoublingViolation):
         triangulation_round(g, random.Random(0))
     assert _state(g) == before
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 256, 257, 65535, 2**31 + 1])
+def test_engine_draw_is_randrange_and_choice(m):
+    # the tail engines draw randrange(m) and choice(seq) by process._below,
+    # the words of Random._randbelow_with_getrandbits; at m = 1 it draws
+    # getrandbits(1) words until one is 0, where the kernels' d = 1 branch
+    # draws none.  The next random() checks that no word more or less is used.
+    seq = range(m)
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert process._below(rng.getrandbits, m) == ref.randrange(m)
+        assert rng.random() == ref.random()
+        assert seq[process._below(rng.getrandbits, len(seq))] == ref.choice(seq)
+        assert rng.random() == ref.random()
+
+
+def test_triangulation_engine_draws_a_missing_pair_by_randrange():
+    # node 0 sees all four missing pairs, 2 * 4 < 11^2, so it proposes the
+    # pair at randrange(4) of the engine's missing keys by its inlined draw
+    missing = ((1, 2), (3, 5), (4, 9), (7, 11))
+    g = UndirectedGraph(12, [(a, b) for b in range(12) for a in range(b) if (a, b) not in missing])
+    tail = process._tail(g, ProcessKind.TRIANGULATION, None)
+    pairs = {b * (b - 1) // 2 + a: (a, b) for a, b in missing}
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert tail.propose(0, rng) == pairs[tail.missing[ref.randrange(4)]]
+        assert rng.random() == ref.random()

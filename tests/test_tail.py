@@ -71,7 +71,7 @@ def _assert_counts_match_a_recount(tail, g, kind):
     """Every count the engine keeps in ``add`` equals its value recounted
     from the graph: degrees, their buckets and extremes, the missing edges
     with their positions, and on a digraph the out- and in-neighbour and
-    missing-arc bitsets, the sets of nodes missing each node and the
+    missing-arc bitsets, the bitsets of the nodes missing each node and the
     two-hop path totals."""
     deg = [len(out) for out in g._adj]
     assert tail.deg == deg
@@ -96,7 +96,7 @@ def _assert_counts_match_a_recount(tail, g, kind):
             assert tail.out[u] == sum(1 << v for v in out[u])
             assert tail.miss[u] == sum(1 << w for w in miss)
             assert tail.inn[u] == sum(1 << x for x in range(g.n) if u in out[x])
-            assert tail.missers[u] == {x for x in range(g.n) if u in reach[x] - out[x]}
+            assert tail.missers[u] == sum(1 << x for x in range(g.n) if u in reach[x] - out[x])
             assert tail.C[u] == sum(len(out[v] & miss) for v in out[u])
 
 
