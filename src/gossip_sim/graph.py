@@ -73,9 +73,9 @@ class _Graph:
     (out-)neighbors of ``u``, a list or an ``array('H')`` by n alone, and
     ``_rows[u][v]`` is 1 exactly when the edge
     from ``u`` to ``v`` is present, an undirected edge in both directions.
-    Each subclass writes ``add_edge`` out in full, as it runs per new edge;
-    the round kernels in ``process`` write both directly, a round at a time,
-    and set a row's byte when they queue the edge."""
+    ``add_edge`` checks an edge and writes it by ``_link``, each subclass's
+    one writer of an edge, which the tail engines in ``process`` call too;
+    the round kernels write a round's edges directly, a row's byte as each queues."""
 
     __slots__ = ("n", "_adj", "_rows", "edge_count")
 
@@ -108,6 +108,17 @@ class _Graph:
         """(Out-)neighbors of ``u`` in insertion order (copy; safe to mutate)."""
         self._check_node(u)
         return list(self._adj[u])
+
+    def add_edge(self, u: int, v: int) -> bool:
+        """Insert edge ``(u, v)``, ``{u, v}`` if undirected; return True iff it was newly added."""
+        self._check_node(u)
+        self._check_node(v)
+        if u == v:
+            raise SelfLoopError(f"self-loop at node {u}")
+        if self._rows[u][v]:
+            return False
+        self._link(u, v)
+        return True
 
     def min_degree(self) -> int:
         return min(len(a) for a in self._adj)
@@ -148,19 +159,11 @@ class UndirectedGraph(_Graph):
         """Edges absent compared with the complete graph on ``n`` nodes."""
         return self.n * (self.n - 1) // 2 - self.edge_count
 
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge ``{u, v}``; return True iff it was newly added."""
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
-        if self._rows[u][v]:
-            return False
-        self._adj[u].append(v)
-        self._adj[v].append(u)
-        self._rows[u][v] = self._rows[v][u] = 1
+    def _link(self, a: int, b: int) -> None:
+        self._adj[a].append(b)
+        self._adj[b].append(a)
+        self._rows[a][b] = self._rows[b][a] = 1
         self.edge_count += 1
-        return True
 
     def is_complete(self) -> bool:
         return self.missing_count == 0
@@ -181,18 +184,10 @@ class DirectedGraph(_Graph):
 
     __slots__ = ()
 
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge ``(u, v)``; return True iff it was newly added."""
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
-        if self._rows[u][v]:
-            return False
-        self._adj[u].append(v)
-        self._rows[u][v] = 1
+    def _link(self, a: int, b: int) -> None:
+        self._adj[a].append(b)
+        self._rows[a][b] = 1
         self.edge_count += 1
-        return True
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs in sorted order."""

@@ -27,17 +27,18 @@ The kernels define the semantics.  ``run_to_convergence`` runs them until
 a round adds fewer than ``TAIL_SHARE`` * n edges, then hands the run to a
 tail engine that skips the rounds adding no edge exactly: it caps every
 node's rate by one bound from counts kept up to date edge by edge (degree
-extremes, the missing edges in arrays beside arrays of their positions,
-and on a digraph each node's total two-hop paths into its missing arcs),
+extremes, the missing pairs beside their positions for triangulation, and
+on a digraph each node's total two-hop paths into its missing arcs),
 jumps by geometric gaps from one candidate (round, node) slot to the
 next, and keeps each candidate's one proposed edge with the probability
 that makes the kernels' law exact; a node whose bound reaches 1 proposes
 by the kernel's own draw.  Its round counts have the kernels'
 distribution, from another random stream.  The triangulation engine
 keeps one position per pair missing at the hand-over, found by the pair's
-rank among those pairs, and the two-hop engine n per node.  The engines
-draw the words ``randrange`` and ``choice`` would draw, by ``getrandbits``
-alone, and write each added edge into the graph as the kernels do.
+rank among those pairs; the two-hop engine's lists of the nodes each node
+missed at the hand-over keep a node joined since until a draw finds it.
+The engines draw the words ``randrange`` and ``choice`` would draw, by
+``getrandbits`` alone, and add edges by the graph's ``_link``.
 """
 
 from __future__ import annotations
@@ -323,10 +324,16 @@ def convergence_target(g: UndirectedGraph | DirectedGraph, kind: ProcessKind) ->
     what ``run_to_convergence`` refuses: a graph of the wrong type, or a
     disconnected undirected one.
     """
+    return _target(g, kind)[0]
+
+
+def _target(g, kind: ProcessKind) -> tuple[int, list[int] | None]:
+    """``convergence_target``, and ``graph._reach(g)`` for the directed walk or None."""
     _check_input(g, kind)
     if kind.directed:
-        return sum(map(int.bit_count, _reach(g)))
-    return g.n * (g.n - 1) // 2
+        reach = _reach(g)
+        return sum(map(int.bit_count, reach)), reach
+    return g.n * (g.n - 1) // 2, None
 
 
 def _check_input(g, kind: ProcessKind) -> None:
@@ -359,10 +366,8 @@ def run_to_convergence(
     is still in its start-of-round state and ``end_round(outcome)`` after
     the round's edges are applied, for executed rounds only.
     """
-    _check_input(g, config.kind)
-    # convergence_target's reachability, computed once and handed to the tail
-    reach = _reach(g) if config.kind.directed else None
-    target = sum(map(int.bit_count, reach)) if reach else g.n * (g.n - 1) // 2
+    # the reachability is computed once and handed to the tail
+    target, reach = _target(g, config.kind)
     rng = random.Random(config.seed)
     step = round_function(config.kind)
     rounds, tail, added = 0, None, g.n
@@ -396,15 +401,6 @@ def _tail(g, kind: ProcessKind, reach: list[int] | None) -> _Tail:
     if kind is ProcessKind.TRIANGULATION:
         return _TriTail(g)
     return _HopTail(g) if reach is None else _DirTail(g, reach)
-
-
-def _swap_remove(items: array, where: array, x: int) -> None:
-    """Remove ``x`` from ``items`` in O(1); ``where[y]`` is the index of
-    each item y in ``items`` and is kept in step (a removed item's entry is
-    left stale)."""
-    i, last = where[x], items.pop()
-    if i < len(items):
-        items[i], where[last] = last, i
 
 
 def _below(gb, m: int) -> int:
@@ -453,10 +449,10 @@ class _Tail:
     O(1 + n Q) steps per round.  A candidate is kept with probability q_u / Q and then proposes
     e with probability p[u][e] / q_u (``propose``), so it adds e with
     p[u][e].  No rate is kept between draws; ``add`` writes the edge into
-    the graph and keeps the counts the bounds read in step with it, each in
-    O(1) or a few bitset operations: ``deg`` the (out-)degrees, ``low`` the
-    least positive one and ``high`` the largest, from the number of nodes
-    at each degree.
+    the graph by its ``_link`` and keeps the counts the bounds read in step
+    with it, each in O(1) or a few bitset operations: ``deg`` the
+    (out-)degrees, ``low`` the least positive one and ``high`` the largest,
+    from the number of nodes at each degree.
     """
 
     def __init__(self, g) -> None:
@@ -477,15 +473,11 @@ class _Tail:
         if d == self.high:
             self.high = d + 1
 
-    def _join(self, a: int, b: int) -> None:
-        # missing {a, b} joins the graph as _apply writes a round's edges
+    def add(self, a: int, b: int) -> None:
+        # missing {a, b} joins the graph; the two-hop engine's add as it is
         self._grow(a)
         self._grow(b)
-        g = self.g
-        g._adj[a].append(b)
-        g._adj[b].append(a)
-        g._rows[a][b] = g._rows[b][a] = 1
-        g.edge_count += 1
+        self.g._link(a, b)
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
         """Number of empty rounds before the next round that adds an edge,
@@ -557,7 +549,8 @@ class _TriTail(_Tail):
         # 1/M over 2M/d^2, or the kernel's own draw
         nbrs, rows, missing = self.g._adj[u], self.g._rows, self.missing
         if 2 * len(missing) >= len(nbrs) ** 2:
-            a, b = rng.choice(nbrs), rng.choice(nbrs)
+            gb, d = rng.getrandbits, len(nbrs)
+            a, b = nbrs[_below(gb, d)], nbrs[_below(gb, d)]
             return None if a == b or rows[a][b] else (min(a, b), max(a, b))
         m = len(missing)  # randrange(m)'s draw, inlined as in the kernels
         bits = m.bit_length()
@@ -576,67 +569,66 @@ class _TriTail(_Tail):
         return skip, edges
 
     def add(self, a: int, b: int) -> None:
-        # _swap_remove through the slots, the last key decoded as in propose
+        # the last key, decoded as in propose, moves into {a, b}'s slot
         missing, where, start, absent = self.missing, self.where, self.start, self.absent
         i, last = where[start[b + 1] - (absent[b] >> a).bit_count()], missing.pop()
         if i < len(missing):
             y = (math.isqrt(8 * last + 1) + 1) // 2
             missing[i] = last
             where[start[y + 1] - (absent[y] >> (last - y * (y - 1) // 2)).bit_count()] = i
-        self._join(a, b)
+        super().add(a, b)
 
 
 class _HopTail(_Tail):
     """Undirected two-hop walk: u adds missing {u, w} with probability
     sum(1/(d_u d_v)) over v in N(u) & N(w), at most high / (d_u low), so its
-    rate is at most |miss[u]| high / (d_u low).  ``miss[u]`` lists the
-    nodes u is not adjacent to, ascending at the start, and ``where[u]``,
-    a position for each node, indexes it; both are 2-byte arrays, as node
-    ids are."""
+    rate is at most (n - 1 - d_u) high / (d_u low).  ``miss[u]``, a 2-byte
+    array as node ids are, lists the nodes u missed when the engine was
+    built, ascending; a node u has joined since stays in it until a draw
+    finds it there and takes it out."""
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
-        n = g.n
-        self.miss, self.where = [], []
+        self.miss = []
         for u, row in enumerate(g._rows):
-            targets, at = array("H"), array("H", [0]) * n
+            targets = array("H")
             w = row.find(0)  # a row's missing nodes by C-level search
             while w >= 0:
                 if w != u:
-                    at[w] = len(targets)
                     targets.append(w)
                 w = row.find(0, w + 1)
             self.miss.append(targets)
-            self.where.append(at)
 
     def cap(self) -> float:
-        # |miss[u]| = n - 1 - d_u and d_u >= low
+        # d_u >= low
         low = self.low
         return (self.g.n - 1 - low) * self.high / (low * low)
 
     def bound(self, u: int) -> float:
-        q = len(self.miss[u]) * self.high / (self.deg[u] * self.low)
+        d = self.deg[u]
+        q = (self.g.n - 1 - d) * self.high / (d * self.low)
         return q if q < 1.0 else 1.0
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
-        # w comes out with sum(1/(d_u d_v)) over the bound: w uniform in
-        # miss[u], v uniform in N(w) kept if in N(u) with d_w low / (high d_v),
-        # or the kernel's walk
-        deg, targets, gb = self.deg, self.miss[u], rng.getrandbits
-        if len(targets) * self.high >= deg[u] * self.low:
-            w = _walk(self.g, u, gb)
+        # w comes out with sum(1/(d_u d_v)) over the bound: w, the first of
+        # miss[u]'s draws that u misses, v uniform in N(w) kept if in N(u)
+        # with d_w low / (high d_v), or the kernel's walk
+        g, deg, gb = self.g, self.deg, rng.getrandbits
+        if (g.n - 1 - deg[u]) * self.high >= deg[u] * self.low:
+            w = _walk(g, u, gb)
         else:
-            w = targets[_below(gb, len(targets))]
-            nbrs = self.g._adj[w]
+            targets, row = self.miss[u], g._rows[u]
+            i = _below(gb, len(targets))
+            while row[targets[i]]:  # joined since: the last id takes its slot
+                targets[i] = targets[-1]
+                del targets[-1]
+                i = _below(gb, len(targets))
+            w = targets[i]
+            nbrs = g._adj[w]
             v = nbrs[_below(gb, len(nbrs))]
-            if not self.g._rows[u][v] or rng.random() * self.high * deg[v] >= deg[w] * self.low:
+            if not row[v] or rng.random() * self.high * deg[v] >= deg[w] * self.low:
                 w = None
         return None if w is None else (min(u, w), max(u, w))
-
-    def add(self, a: int, b: int) -> None:
-        _swap_remove(self.miss[a], self.where[a], b)
-        _swap_remove(self.miss[b], self.where[b], a)
-        self._join(a, b)
 
 
 class _DirTail(_Tail):
@@ -701,7 +693,4 @@ class _DirTail(_Tail):
         inn[b] |= 1 << a
         out[a] |= bit
         self._grow(a)
-        g = self.g
-        g._adj[a].append(b)
-        g._rows[a][b] = 1
-        g.edge_count += 1
+        self.g._link(a, b)

@@ -304,8 +304,8 @@ class TestCli:
                 "18170e0d1b56bb326685a6cbd8f77b78b7cb34760129a701e7bfeae08b131681",
             ),
             (
-                "cycle", 300, "twohop", 7, 1843, 1018,
-                "bc73e8ac70e939ef6518d119aaca8e63a65ea31e6b6927d89d3a8c46b5a9a643",
+                "cycle", 300, "twohop", 7, 1643, 1015,
+                "4b83b62b1ee97a1ed4381e77a8f4ae42942ecd97e453bd59811cef297ae86995",
             ),
             (
                 "dstrong", 32, "dtwohop", 5, 1137, 302,

@@ -165,12 +165,12 @@ def test_kernel_matches_the_reference_round_by_round(family, n, params, kernel, 
     [
         ("cycle", 64, "tri", [294, 277, 300]),
         ("path", 32, "tri", [120, 160, 152]),
-        ("cycle", 32, "twohop", [113, 134, 111]),
+        ("cycle", 32, "twohop", [114, 93, 102]),
         ("dstrong", 16, "dtwohop", [187, 239, 227]),
         ("dweak", 16, "dtwohop", [28, 107, 28]),
         # above 256 nodes the neighbours are arrays; the counts are the lists'
         ("cycle", 300, "tri", [1581, 2360, 1750]),
-        ("cycle", 300, "twohop", [1781, 1696, 1600]),
+        ("cycle", 300, "twohop", [1493, 1622, 2067]),
         ("dweak", 300, "dtwohop", [27400, 28787, 33381]),
     ],
 )
