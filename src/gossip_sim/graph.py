@@ -74,8 +74,8 @@ class _Graph:
     ``_rows[u][v]`` is 1 exactly when the edge
     from ``u`` to ``v`` is present, an undirected edge in both directions.
     ``add_edge`` checks an edge and writes it by ``_link``, each subclass's
-    one writer of an edge, which the tail engines in ``process`` call too;
-    the round kernels write a round's edges directly, a row's byte as each queues."""
+    one writer of an edge, which ``run_to_convergence`` calls for engine
+    rounds; the round kernels write a round's edges directly, a row's byte as each queues."""
 
     __slots__ = ("n", "_adj", "_rows", "edge_count")
 

@@ -28,17 +28,19 @@ a round adds fewer than ``TAIL_SHARE`` * n edges, then hands the run to a
 tail engine that skips the rounds adding no edge exactly: it caps every
 node's rate by one bound from counts kept up to date edge by edge (degree
 extremes, the missing pairs beside their positions for triangulation, and
-on a digraph each node's total two-hop paths into its missing arcs),
-jumps by geometric gaps from one candidate (round, node) slot to the
-next, and keeps each candidate's one proposed edge with the probability
-that makes the kernels' law exact; a node whose bound reaches 1 proposes
-by the kernel's own draw.  Its round counts have the kernels'
-distribution, from another random stream.  The triangulation engine
-keeps one position per pair missing at the hand-over, found by the pair's
-rank among those pairs; the two-hop engine's lists of the nodes each node
-missed at the hand-over keep a node joined since until a draw finds it.
-The engines draw the words ``randrange`` and ``choice`` would draw, by
-``getrandbits`` alone, and add edges by the graph's ``_link``.
+on a digraph each node's total two-hop paths into its missing arcs), jumps
+by geometric gaps from one candidate (round, node) slot to the next, and
+keeps each candidate's one proposed edge with the probability that makes
+the kernels' law exact.  It draws only while its cap is below 1: where
+every slot would be a candidate, the round is the kernel's.  Its round
+counts have the kernels' distribution, from another random stream.  The
+triangulation engine keeps one position per pair missing at the hand-over,
+found by the pair's rank among those pairs; the two-hop engine's lists of
+the nodes each node missed at the hand-over keep a node joined since until
+a draw finds it.  The engines draw the words ``randrange`` and ``choice``
+would draw, by ``getrandbits`` alone, and only count the edges of a round:
+``run_to_convergence`` writes them, an engine round's by the graph's
+``_link``.
 """
 
 from __future__ import annotations
@@ -374,21 +376,25 @@ def run_to_convergence(
     while g.edge_count < target:
         if tail is None and added < TAIL_SHARE * g.n:
             tail = _tail(g, config.kind, reach)
-            add = tail.add
-        if tail is not None:
-            skip, edges = tail.draw(rng)
-            rounds += skip
+        drawn = None if tail is None else tail.draw(rng)  # None: a kernel round
+        if drawn is not None:
+            rounds += drawn[0]
         if rounds >= config.max_rounds:
             return config.max_rounds, True
         if trace_sink is not None:
             trace_sink.begin_round(g, rounds, target - g.edge_count)
-        if tail is None:
+        if drawn is None:
             outcome = step(g, rng, round_index=rounds)
-            added = len(outcome.edges_added)
+            edges = outcome.edges_added
+            added = len(edges)
         else:
+            edges = drawn[1]
             for a, b in edges:
-                add(a, b)
+                g._link(a, b)
             outcome = None if trace_sink is None else RoundOutcome(rounds, edges, g.edge_count)
+        if tail is not None:
+            for a, b in edges:
+                tail.add(a, b)
         if trace_sink is not None:
             trace_sink.end_round(outcome)
         rounds += 1
@@ -413,17 +419,6 @@ def _below(gb, m: int) -> int:
     return r
 
 
-def _walk(g, u: int, gb) -> int | None:
-    """The kernels' two-hop walk from u, drawn as ``choice`` draws: its end
-    w if u misses the edge to w, else None."""
-    nbrs = g._adj[u]
-    nbrs = g._adj[nbrs[_below(gb, len(nbrs))]]
-    if not nbrs:
-        return None
-    w = nbrs[_below(gb, len(nbrs))]
-    return None if w == u or g._rows[u][w] else w
-
-
 def _transpose(rows: list[int]) -> list[int]:
     """The columns of a square matrix of integer bitsets: bit u of column w
     is bit w of row u."""
@@ -442,17 +437,19 @@ class _Tail:
 
     While the graph is static, node u adds missing edge e in a round with
     the kernels' probability p[u][e], independently of the other nodes.
-    Each draw takes one common cap Q, ``cap`` clamped at 1, at least every
-    node's bound q_u (``bound``, clamped alike).  Every (round, node) slot
-    is a candidate with probability Q, so the draw jumps from one candidate
-    to the next by geometric gaps (Devroye 1986, ch. 10) at a cost of
-    O(1 + n Q) steps per round.  A candidate is kept with probability q_u / Q and then proposes
-    e with probability p[u][e] / q_u (``propose``), so it adds e with
-    p[u][e].  No rate is kept between draws; ``add`` writes the edge into
-    the graph by its ``_link`` and keeps the counts the bounds read in step
-    with it, each in O(1) or a few bitset operations: ``deg`` the
-    (out-)degrees, ``low`` the least positive one and ``high`` the largest,
-    from the number of nodes at each degree.
+    Each draw takes one common cap Q, ``cap``, at least every node's bound
+    q_u (``bound``).  Every (round, node) slot is a candidate with
+    probability Q, so the draw jumps from one candidate to the next by
+    geometric gaps (Devroye 1986, ch. 10) at a cost of O(1 + n Q) steps
+    per round.  A candidate is kept with probability q_u / Q and then
+    proposes e with probability p[u][e] / q_u (``propose``), so it adds e
+    with p[u][e].  Where Q reaches 1 no slot can be skipped, and ``draw``
+    returns None for the kernel to run the round.  No rate is kept between
+    draws; ``add`` is told of each edge once a round has written it into
+    the graph, and keeps the counts the bounds read in step with it, each
+    in O(1) or a few bitset operations: ``deg`` the (out-)degrees, ``low``
+    the least positive one and ``high`` the largest, from the number of
+    nodes at each degree.
     """
 
     def __init__(self, g) -> None:
@@ -474,16 +471,18 @@ class _Tail:
             self.high = d + 1
 
     def add(self, a: int, b: int) -> None:
-        # missing {a, b} joins the graph; the two-hop engine's add as it is
+        # missing {a, b} has joined the graph; the two-hop engine's add as it is
         self._grow(a)
         self._grow(b)
-        self.g._link(a, b)
 
-    def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]] | None:
         """Number of empty rounds before the next round that adds an edge,
-        and the edges that round adds, in order; the graph is not changed."""
-        n, cap = self.g.n, min(1.0, self.cap())
-        log_stay = math.log1p(-cap) if cap < 1.0 else -math.inf
+        and the edges that round adds, in order, or None, drawing nothing,
+        where the cap reaches 1; the graph is not changed."""
+        n, cap = self.g.n, self.cap()
+        if cap >= 1.0:
+            return None
+        log_stay = math.log1p(-cap)
         bound, propose, uniform, log = self.bound, self.propose, rng.random, math.log
         # Slots run over (round, node) in order, each a candidate with
         # probability cap; ``end`` closes the round of the latest candidate.
@@ -506,10 +505,10 @@ class _Tail:
 class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
     probability 2/d_u^2, so its rate is at most 2M/d_u^2.  ``missing``
-    holds each missing pair a < b as its triangular key b(b-1)/2 + a, in
-    the order of (a, b), and ``where`` indexes it, so that a pair leaves it
-    in O(1).  ``where`` has one slot per pair missing when the engine is
-    built, at the pair's rank among them in key order: ``start[b + 1]`` of
+    holds each missing pair a < b as its key b n + a, in the order of
+    (a, b), and ``where`` indexes it, so that a pair leaves it in O(1).
+    ``where`` has one slot per pair missing when the engine is built, at
+    the pair's rank among them in key order: ``start[b + 1]`` of
     them lie in columns up to b, and bit a of ``absent[b]`` is set for each
     of them, {a, b}, so that the slot of {a, b} is ``start[b + 1]`` less the
     bits of ``absent[b]`` at a and above.  Both arrays are 4-byte, as more
@@ -531,7 +530,7 @@ class _TriTail(_Tail):
         for a, row in enumerate(g._rows):
             b = row.find(0, a + 1)  # a row's missing pairs by C-level search
             while b >= 0:
-                missing[i], where[slot[b]] = b * (b - 1) // 2 + a, i
+                missing[i], where[slot[b]] = b * g.n + a, i
                 slot[b] += 1
                 i += 1
                 b = row.find(0, b + 1)
@@ -541,41 +540,34 @@ class _TriTail(_Tail):
 
     def bound(self, u: int) -> float:
         d = self.deg[u]
-        q = 2 * len(self.missing) / (d * d)
-        return q if q < 1.0 else 1.0
+        return 2 * len(self.missing) / (d * d)
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # a missing pair inside N(u) comes out with 2/d^2 over the bound:
-        # 1/M over 2M/d^2, or the kernel's own draw
-        nbrs, rows, missing = self.g._adj[u], self.g._rows, self.missing
-        if 2 * len(missing) >= len(nbrs) ** 2:
-            gb, d = rng.getrandbits, len(nbrs)
-            a, b = nbrs[_below(gb, d)], nbrs[_below(gb, d)]
-            return None if a == b or rows[a][b] else (min(a, b), max(a, b))
-        m = len(missing)  # randrange(m)'s draw, inlined as in the kernels
+        # 1/M over 2M/d^2
+        m = len(self.missing)  # randrange(m)'s draw, inlined as in the kernels
         bits = m.bit_length()
         r = rng.getrandbits(bits)
         while r >= m:
             r = rng.getrandbits(bits)
-        k = missing[r]
-        # k = b(b-1)/2 + a with a < b puts isqrt(8k + 1) at 2b - 1 or 2b
-        b = (math.isqrt(8 * k + 1) + 1) // 2
-        a = k - b * (b - 1) // 2
-        return (a, b) if rows[u][a] and rows[u][b] else None
+        b, a = divmod(self.missing[r], self.g.n)
+        row = self.g._rows[u]
+        return (a, b) if row[a] and row[b] else None
 
-    def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
-        skip, edges = super().draw(rng)
-        _check_degree_doubling(self.g, edges)
-        return skip, edges
+    def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]] | None:
+        drawn = super().draw(rng)
+        if drawn is not None:
+            _check_degree_doubling(self.g, drawn[1])
+        return drawn
 
     def add(self, a: int, b: int) -> None:
-        # the last key, decoded as in propose, moves into {a, b}'s slot
+        # the last key moves into {a, b}'s slot
         missing, where, start, absent = self.missing, self.where, self.start, self.absent
         i, last = where[start[b + 1] - (absent[b] >> a).bit_count()], missing.pop()
         if i < len(missing):
-            y = (math.isqrt(8 * last + 1) + 1) // 2
+            y, x = divmod(last, self.g.n)
             missing[i] = last
-            where[start[y + 1] - (absent[y] >> (last - y * (y - 1) // 2)).bit_count()] = i
+            where[start[y + 1] - (absent[y] >> x).bit_count()] = i
         super().add(a, b)
 
 
@@ -606,29 +598,25 @@ class _HopTail(_Tail):
 
     def bound(self, u: int) -> float:
         d = self.deg[u]
-        q = (self.g.n - 1 - d) * self.high / (d * self.low)
-        return q if q < 1.0 else 1.0
+        return (self.g.n - 1 - d) * self.high / (d * self.low)
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # w comes out with sum(1/(d_u d_v)) over the bound: w, the first of
         # miss[u]'s draws that u misses, v uniform in N(w) kept if in N(u)
-        # with d_w low / (high d_v), or the kernel's walk
+        # with d_w low / (high d_v)
         g, deg, gb = self.g, self.deg, rng.getrandbits
-        if (g.n - 1 - deg[u]) * self.high >= deg[u] * self.low:
-            w = _walk(g, u, gb)
-        else:
-            targets, row = self.miss[u], g._rows[u]
+        targets, row = self.miss[u], g._rows[u]
+        i = _below(gb, len(targets))
+        while row[targets[i]]:  # joined since: the last id takes its slot
+            targets[i] = targets[-1]
+            del targets[-1]
             i = _below(gb, len(targets))
-            while row[targets[i]]:  # joined since: the last id takes its slot
-                targets[i] = targets[-1]
-                del targets[-1]
-                i = _below(gb, len(targets))
-            w = targets[i]
-            nbrs = g._adj[w]
-            v = nbrs[_below(gb, len(nbrs))]
-            if not row[v] or rng.random() * self.high * deg[v] >= deg[w] * self.low:
-                w = None
-        return None if w is None else (min(u, w), max(u, w))
+        w = targets[i]
+        nbrs = g._adj[w]
+        v = nbrs[_below(gb, len(nbrs))]
+        if row[v] and rng.random() * self.high * deg[v] < deg[w] * self.low:
+            return (u, w) if u < w else (w, u)
+        return None
 
 
 class _DirTail(_Tail):
@@ -654,16 +642,13 @@ class _DirTail(_Tail):
         return max(self.C) / (self.low * self.low)
 
     def bound(self, u: int) -> float:
+        # a node without out-neighbours has no paths
         paths = self.C[u]
-        q = paths / (self.deg[u] * self.low) if paths else 0.0
-        return q if q < 1.0 else 1.0
+        return paths / (self.deg[u] * self.low) if paths else 0.0
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # w comes out with sum(1/(d_u d_v)) over the bound: a uniform path
-        # u -> v -> w into miss[u], kept with low / d_v, or the kernel's walk
-        if self.C[u] >= self.deg[u] * self.low:
-            w = _walk(self.g, u, rng.getrandbits)
-            return None if w is None else (u, w)
+        # u -> v -> w into miss[u], kept with low / d_v
         r, out_u, inn, m = _below(rng.getrandbits, self.C[u]), self.out[u], self.inn, self.miss[u]
         while True:  # lowest w first; an overstated C[u] fails at 1 << -1
             w = (m & -m).bit_length() - 1
@@ -679,7 +664,7 @@ class _DirTail(_Tail):
         return (u, w) if rng.random() * self.deg[v] < self.low else None
 
     def add(self, a: int, b: int) -> None:
-        # before the arc exists: paths u -> a -> b gain the arc (a, b), the
+        # before the bitsets hold it: paths u -> a -> b gain the arc (a, b), the
         # paths a -> v -> b stop counting, and b's own arcs into miss[a] count
         C, out, inn, bit = self.C, self.out, self.inn, 1 << b
         self.miss[a] ^= bit
@@ -693,4 +678,3 @@ class _DirTail(_Tail):
         inn[b] |= 1 << a
         out[a] |= bit
         self._grow(a)
-        self.g._link(a, b)
