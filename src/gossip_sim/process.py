@@ -41,6 +41,15 @@ a draw finds it.  The engines draw the words ``randrange`` and ``choice``
 would draw, by ``getrandbits`` alone, and only count the edges of a round:
 ``run_to_convergence`` writes them, an engine round's by the graph's
 ``_link``.
+
+The seam: ``run_to_convergence`` runs the kernel rounds compiled, by
+``_kernel.c`` (built and loaded by ``_native``), where the package could
+build it and nothing observes or replaces a kernel: no ``trace_sink`` is
+given, and ``round_function(kind)`` and ``_check_degree_doubling`` are this
+module's own.  It runs every round up to the hand-over in one call and
+each kernel round after it in one call, with the same draws and the same
+graph as the kernels.  Tracers, spies and substitute kernels see the
+Python kernels run.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
+from ._native import kernel as _compiled
 from .graph import (  # transitive_closure stays a module attribute for tracers to wrap
     DirectedGraph,
     GraphError,
@@ -317,6 +327,11 @@ def round_function(kind: ProcessKind):
     }[kind]
 
 
+# what the compiled rounds stand in for: the kernels and the check as defined here
+_OWN = {kind: round_function(kind) for kind in ProcessKind}
+_OWN_CHECK = _check_degree_doubling
+
+
 def convergence_target(g: UndirectedGraph | DirectedGraph, kind: ProcessKind) -> int:
     """Edge count at which the process stops.
 
@@ -372,6 +387,13 @@ def run_to_convergence(
     target, reach = _target(g, config.kind)
     rng = random.Random(config.seed)
     step = round_function(config.kind)
+    # the compiled rounds run where nothing observes or replaces a kernel
+    compiled = (
+        _compiled is not None
+        and trace_sink is None
+        and step is _OWN[config.kind]
+        and _check_degree_doubling is _OWN_CHECK
+    )
     rounds, tail, added = 0, None, g.n
     while g.edge_count < target:
         if tail is None and added < TAIL_SHARE * g.n:
@@ -384,8 +406,15 @@ def run_to_convergence(
         if trace_sink is not None:
             trace_sink.begin_round(g, rounds, target - g.edge_count)
         if drawn is None:
-            outcome = step(g, rng, round_index=rounds)
-            edges = outcome.edges_added
+            if compiled:  # to the hand-over in one call, a round at a time after it
+                ran, edges = _compiled.rounds(
+                    g, rng, config.kind is ProcessKind.TRIANGULATION, config.kind.directed,
+                    1 if tail is not None else config.max_rounds - rounds, TAIL_SHARE, target,
+                )
+                rounds += ran - 1
+            else:
+                outcome = step(g, rng, round_index=rounds)
+                edges = outcome.edges_added
             added = len(edges)
         else:
             edges = drawn[1]

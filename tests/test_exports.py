@@ -53,3 +53,10 @@ def test_importing_the_package_loads_no_process_pool():
     serial run does not pay for ``multiprocessing`` and its imports."""
     names = ["multiprocessing", "concurrent.futures.process"]
     assert _loaded_after_importing_the_package(names) == "[]"
+
+
+def test_importing_the_package_with_a_warm_build_loads_no_build_tools():
+    """A warm import loads the compiled kernel and nothing else: the modules
+    that build it are imported only to build."""
+    names = ["subprocess", "sysconfig", "hashlib", "setuptools"]
+    assert _loaded_after_importing_the_package(names) == "[]"

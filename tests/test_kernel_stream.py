@@ -7,7 +7,9 @@ make the same draws, in the same order, and leave the same graph: the same
 neighbor lists in the same order (later draws index them), the same edges
 and membership answers, and the same edge count.  A kernel that raises
 leaves the graph as it was.  The tail engines' draws must take the same
-words as ``randrange`` and ``choice``.
+words as ``randrange`` and ``choice``.  The compiled rounds that
+``run_to_convergence`` runs in the kernels' place are held to the same
+pins, and to the kernels at the hand-over.
 """
 
 import random
@@ -15,6 +17,7 @@ import random
 import pytest
 
 from gossip_sim import process
+from gossip_sim.analysis import TraceCollector
 from gossip_sim.generators import FAMILIES, generate
 from gossip_sim.graph import DirectedGraph, IsolatedNodeError, UndirectedGraph, transitive_closure
 from gossip_sim.process import (
@@ -160,24 +163,54 @@ def test_kernel_matches_the_reference_round_by_round(family, n, params, kernel, 
         assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize(
-    "family, n, kind, expected",
-    [
-        ("cycle", 64, "tri", [294, 277, 300]),
-        ("path", 32, "tri", [120, 127, 152]),
-        ("cycle", 32, "twohop", [114, 93, 102]),
-        ("dstrong", 16, "dtwohop", [187, 239, 227]),
-        ("dweak", 16, "dtwohop", [28, 107, 28]),
-        # above 256 nodes the neighbours are arrays; the counts are the lists'
-        ("cycle", 300, "tri", [1581, 2360, 1750]),
-        ("cycle", 300, "twohop", [1493, 1622, 2067]),
-        ("dweak", 300, "dtwohop", [27400, 28787, 33381]),
-        # the star under tri runs kernel rounds after the hand-over, until
-        # the engine's cap falls below 1
-        ("star", 64, "tri", [372, 389, 502]),
-    ],
-)
-def test_rounds_to_convergence_are_pinned(family, n, kind, expected):
+compiled_only = pytest.mark.skipif(process._compiled is None, reason="the compiled kernel is not built")
+
+
+class _Counted:
+    """The compiled rounds, counting the calls made to them."""
+
+    def __init__(self, compiled):
+        self.compiled, self.calls = compiled, 0
+
+    def rounds(self, *args):
+        self.calls += 1
+        return self.compiled.rounds(*args)
+
+
+@pytest.fixture(params=["compiled", "reference"])
+def kernels(request, monkeypatch):
+    """``run_to_convergence`` on the compiled rounds, checked to be called,
+    or on the Python kernels alone, as where the extension cannot be built."""
+    if request.param == "reference":
+        monkeypatch.setattr(process, "_compiled", None)
+        yield
+        return
+    if process._compiled is None:
+        pytest.skip("the compiled kernel is not built")
+    counted = _Counted(process._compiled)
+    monkeypatch.setattr(process, "_compiled", counted)
+    yield
+    assert counted.calls > 0
+
+
+PINNED_ROUNDS = [
+    ("cycle", 64, "tri", [294, 277, 300]),
+    ("path", 32, "tri", [120, 127, 152]),
+    ("cycle", 32, "twohop", [114, 93, 102]),
+    ("dstrong", 16, "dtwohop", [187, 239, 227]),
+    ("dweak", 16, "dtwohop", [28, 107, 28]),
+    # above 256 nodes the neighbours are arrays; the counts are the lists'
+    ("cycle", 300, "tri", [1581, 2360, 1750]),
+    ("cycle", 300, "twohop", [1493, 1622, 2067]),
+    ("dweak", 300, "dtwohop", [27400, 28787, 33381]),
+    # the star under tri runs kernel rounds after the hand-over, until
+    # the engine's cap falls below 1
+    ("star", 64, "tri", [372, 389, 502]),
+]
+
+
+@pytest.mark.parametrize("family, n, kind, expected", PINNED_ROUNDS)
+def test_rounds_to_convergence_are_pinned(kernels, family, n, kind, expected):
     rounds = []
     for i in range(3):
         config = ProcessConfig(kind=ProcessKind(kind), seed=trial_seed(1, i))
@@ -195,7 +228,7 @@ def test_rounds_to_convergence_are_pinned(family, n, kind, expected):
         ("cycle", 300, "twohop"),
     ],
 )
-def test_membership_matches_the_lists_at_convergence(family, n, kind):
+def test_membership_matches_the_lists_at_convergence(kernels, family, n, kind):
     # the kernels write the rows and lists a round at a time, the tail
     # engines an edge at a time; the run ends on the target graph
     g = generate(family, n)
@@ -210,6 +243,80 @@ def test_membership_matches_the_lists_at_convergence(family, n, kind):
         out = g.neighbors(u)
         assert len(out) == len(set(out))
         assert [v for v in range(n) if g.has_edge(u, v)] == sorted(out)
+
+
+def _kernel_phase(g, kind, seed, max_rounds, compiled):
+    """Kernel rounds on g from seed up to run_to_convergence's hand-over,
+    the first round adding fewer than TAIL_SHARE * n edges, or to the
+    target or max_rounds: by the compiled rounds in one call, or by the
+    kernels a round at a time.  Returns the rounds, the last round's
+    edges and the generator's state."""
+    rng = random.Random(seed)
+    target = process.convergence_target(g, kind)
+    if compiled:
+        tri = kind is ProcessKind.TRIANGULATION
+        rounds, edges = process._compiled.rounds(
+            g, rng, tri, kind.directed, max_rounds, process.TAIL_SHARE, target
+        )
+    else:
+        rounds, edges = 0, [None] * g.n
+        while g.edge_count < target and len(edges) >= process.TAIL_SHARE * g.n and rounds < max_rounds:
+            edges = process.round_function(kind)(g, rng).edges_added
+            rounds += 1
+    return rounds, edges, rng.getstate()
+
+
+@compiled_only
+@pytest.mark.parametrize(
+    "family, n, kind, max_rounds",
+    [
+        *[(family, n, kind, 10**7) for family, n in (("cycle", 64), ("cycle", 300), ("path", 32), ("star", 64))
+          for kind in ("tri", "twohop")],
+        ("dstrong", 32, "dtwohop", 10**7),
+        # capped in the middle of the kernel phase
+        ("cycle", 64, "tri", 40),
+    ],
+)
+def test_compiled_rounds_hand_over_as_the_kernels_do(family, n, kind, max_rounds):
+    for seed in (trial_seed(1, 0), trial_seed(1, 1)):
+        g, h = generate(family, n), generate(family, n)
+        compiled = _kernel_phase(g, ProcessKind(kind), seed, max_rounds, compiled=True)
+        expected = _kernel_phase(h, ProcessKind(kind), seed, max_rounds, compiled=False)
+        assert compiled == expected
+        assert [list(out) for out in g._adj] == [list(out) for out in h._adj]
+        assert g._rows == h._rows and g.edge_count == h.edge_count
+    if max_rounds < 10**7:
+        assert compiled[0] == max_rounds
+
+
+@compiled_only
+def test_compiled_rounds_refuse_a_state_they_cannot_read():
+    # getstate()'s layout is CPython's (version 3, 624 words and an index);
+    # another is refused before a draw, leaving the generator and the graph
+    class Other(random.Random):
+        def getstate(self):
+            return (2, (), None)
+
+    rng, g = Other(1), generate("cycle", 16)
+    words, before = random.Random.getstate(rng), _state(g)
+    with pytest.raises(ValueError):
+        process._compiled.rounds(g, rng, True, False, 5, process.TAIL_SHARE, 120)
+    assert random.Random.getstate(rng) == words and _state(g) == before
+
+
+@compiled_only
+@pytest.mark.parametrize(
+    "trace_sink, replaced",
+    [(None, None), (TraceCollector(), None), (None, "triangulation_round"), (None, "_check_degree_doubling")],
+)
+def test_the_compiled_rounds_run_only_where_nothing_observes_a_kernel(monkeypatch, trace_sink, replaced):
+    counted = _Counted(process._compiled)
+    monkeypatch.setattr(process, "_compiled", counted)
+    if replaced is not None:
+        original = getattr(process, replaced)
+        monkeypatch.setattr(process, replaced, lambda *args, **kwargs: original(*args, **kwargs))
+    run_to_convergence(generate("cycle", 32), ProcessConfig(kind=ProcessKind.TRIANGULATION, seed=1), trace_sink)
+    assert (counted.calls > 0) == (trace_sink is None and replaced is None)
 
 
 @pytest.mark.parametrize(
