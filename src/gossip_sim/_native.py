@@ -5,7 +5,8 @@ it is imported without a current build, into its ``__pycache__``: written
 under a temporary name and moved into place, so that interpreters building
 at once each load a whole file.  A build is keyed by the source's size
 and mtime and the interpreter's extension suffix, so that a warm import
-costs one ``stat`` and one extension load.  Where the directory cannot be
+costs one ``stat`` and one extension load; a new build removes the builds
+of earlier sources for the same suffix.  Where the directory cannot be
 written or no compiler is found, nothing is built and ``kernel`` is None:
 ``process`` then runs its Python kernels alone.
 """
@@ -53,6 +54,8 @@ def _build(src: str, out: str) -> bool:
         return False
     if not os.access(cache, os.W_OK):
         return False
+    import contextlib
+    import glob
     import shutil
     import sysconfig
 
@@ -69,6 +72,12 @@ def _build(src: str, out: str) -> bool:
         ).returncode == 0
         if done:
             os.replace(tmp, out)
+            # earlier sources' builds for this suffix go; other suffixes' builds
+            # and the temporary files other interpreters may be writing stay
+            for old in glob.glob(os.path.join(glob.escape(cache), "_kernel.*" + EXTENSION_SUFFIXES[0])):
+                if old != out:
+                    with contextlib.suppress(OSError):
+                        os.remove(old)
         return done
     except (OSError, subprocess.SubprocessError):
         return False

@@ -27,20 +27,17 @@ The kernels define the semantics.  ``run_to_convergence`` runs them until
 a round adds fewer than ``TAIL_SHARE`` * n edges, then hands the run to a
 tail engine that skips the rounds adding no edge exactly: it caps every
 node's rate by one bound from counts kept up to date edge by edge (degree
-extremes, the missing pairs beside their positions for triangulation, and
-on a digraph each node's total two-hop paths into its missing arcs), jumps
-by geometric gaps from one candidate (round, node) slot to the next, and
-keeps each candidate's one proposed edge with the probability that makes
-the kernels' law exact.  It draws only while its cap is below 1: where
-every slot would be a candidate, the round is the kernel's.  Its round
-counts have the kernels' distribution, from another random stream.  The
-triangulation engine keeps one position per pair missing at the hand-over,
-found by the pair's rank among those pairs; the two-hop engine's lists of
-the nodes each node missed at the hand-over keep a node joined since until
-a draw finds it.  The engines draw the words ``randrange`` and ``choice``
-would draw, by ``getrandbits`` alone, and only count the edges of a round:
-``run_to_convergence`` writes them, an engine round's by the graph's
-``_link``.
+extremes, and on a digraph each node's total two-hop paths into its
+missing arcs), jumps by geometric gaps from one candidate (round, node)
+slot to the next, and keeps each candidate's one proposed edge with the
+probability that makes the kernels' law exact.  It draws only while its
+cap is below 1: where every slot would be a candidate, the round is the
+kernel's.  Its round counts have the kernels' distribution, from another
+random stream.  The undirected engines list the edges missing at the
+hand-over and keep one joined since until a draw finds it.  The engines
+draw the words ``randrange`` and ``choice`` would draw, by ``getrandbits``
+alone, and only count the edges of a round: ``run_to_convergence`` writes
+them, an engine round's by the graph's ``_link``.
 
 The seam: ``run_to_convergence`` runs the kernel rounds compiled, by
 ``_kernel.c`` (built and loaded by ``_native``), where the package could
@@ -59,7 +56,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 from ._native import kernel as _compiled
 from .graph import (  # transitive_closure stays a module attribute for tracers to wrap
@@ -93,7 +89,7 @@ __all__ = [
 
 DEFAULT_MAX_ROUNDS = 10**7
 # run_to_convergence hands a run to the tail engine once a kernel round
-# adds fewer than TAIL_SHARE * n edges; set by the converge-large benchmark
+# adds fewer than TAIL_SHARE * n edges; chosen by measurement, patched by tests
 TAIL_SHARE = 1 / 16
 
 _MASK64 = (1 << 64) - 1
@@ -500,7 +496,7 @@ class _Tail:
             self.high = d + 1
 
     def add(self, a: int, b: int) -> None:
-        # missing {a, b} has joined the graph; the two-hop engine's add as it is
+        # missing {a, b} has joined the graph; the undirected engines' add as it is
         self._grow(a)
         self._grow(b)
 
@@ -533,54 +529,38 @@ class _Tail:
 
 class _TriTail(_Tail):
     """Triangulation: u adds each of the M missing pairs inside N(u) with
-    probability 2/d_u^2, so its rate is at most 2M/d_u^2.  ``missing``
-    holds each missing pair a < b as its key b n + a, in the order of
-    (a, b), and ``where`` indexes it, so that a pair leaves it in O(1).
-    ``where`` has one slot per pair missing when the engine is built, at
-    the pair's rank among them in key order: ``start[b + 1]`` of
-    them lie in columns up to b, and bit a of ``absent[b]`` is set for each
-    of them, {a, b}, so that the slot of {a, b} is ``start[b + 1]`` less the
-    bits of ``absent[b]`` at a and above.  Both arrays are 4-byte, as more
-    than 65 535 pairs can be missing, and the bitsets take about n^2/16
-    bytes."""
+    probability 2/d_u^2, so its rate is at most 2M/d_u^2.  ``missing`` holds
+    the pairs a < b missing when the engine was built as 4-byte keys b n + a;
+    a pair joined since stays until a draw finds it there and takes it out."""
 
     def __init__(self, g: UndirectedGraph) -> None:
         super().__init__(g)
-        # row b's bytes below b, reversed and read as base-2 digits with 1
-        # for a missing pair, by C-level translation
-        digits = bytes.maketrans(b"\x00\x01", b"10")
-        self.absent = absent = [
-            int(row[b - 1::-1].translate(digits), 2) if b else 0 for b, row in enumerate(g._rows)
-        ]
-        self.start = start = [0, *accumulate(map(int.bit_count, absent))]
-        self.missing = missing = array("I", [0]) * start[-1]
-        self.where = where = array("I", [0]) * start[-1]
-        slot, i = array("I", start[:-1]), 0  # the next slot of each column
+        self.missing = missing = array("I")
         for a, row in enumerate(g._rows):
             b = row.find(0, a + 1)  # a row's missing pairs by C-level search
             while b >= 0:
-                missing[i], where[slot[b]] = b * g.n + a, i
-                slot[b] += 1
-                i += 1
+                missing.append(b * g.n + a)
                 b = row.find(0, b + 1)
 
     def cap(self) -> float:
-        return 2 * len(self.missing) / (self.low * self.low)
+        return 2 * self.g.missing_count / (self.low * self.low)
 
     def bound(self, u: int) -> float:
         d = self.deg[u]
-        return 2 * len(self.missing) / (d * d)
+        return 2 * self.g.missing_count / (d * d)
 
     def propose(self, u: int, rng: random.Random) -> tuple[int, int] | None:
         # a missing pair inside N(u) comes out with 2/d^2 over the bound:
-        # 1/M over 2M/d^2
-        m = len(self.missing)  # randrange(m)'s draw, inlined as in the kernels
-        bits = m.bit_length()
-        r = rng.getrandbits(bits)
-        while r >= m:
-            r = rng.getrandbits(bits)
-        b, a = divmod(self.missing[r], self.g.n)
-        row = self.g._rows[u]
+        # 1/M over 2M/d^2, the first of the draws that is still missing
+        missing, rows, gb, n = self.missing, self.g._rows, rng.getrandbits, self.g.n
+        i = _below(gb, len(missing))
+        b, a = divmod(missing[i], n)
+        while rows[a][b]:  # joined since: the last key takes its slot
+            missing[i] = missing[-1]
+            del missing[-1]
+            i = _below(gb, len(missing))
+            b, a = divmod(missing[i], n)
+        row = rows[u]
         return (a, b) if row[a] and row[b] else None
 
     def draw(self, rng: random.Random) -> tuple[int, list[tuple[int, int]]] | None:
@@ -588,16 +568,6 @@ class _TriTail(_Tail):
         if drawn is not None:
             _check_degree_doubling(self.g, drawn[1])
         return drawn
-
-    def add(self, a: int, b: int) -> None:
-        # the last key moves into {a, b}'s slot
-        missing, where, start, absent = self.missing, self.where, self.start, self.absent
-        i, last = where[start[b + 1] - (absent[b] >> a).bit_count()], missing.pop()
-        if i < len(missing):
-            y, x = divmod(last, self.g.n)
-            missing[i] = last
-            where[start[y + 1] - (absent[y] >> x).bit_count()] = i
-        super().add(a, b)
 
 
 class _HopTail(_Tail):

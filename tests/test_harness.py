@@ -87,8 +87,8 @@ class TestRunSweep:
         [
             (
                 make_spec(family="cycle", sizes=[8, 64, 300], trials=3, master_seed=7),
-                [17, 9, 20, 258, 263, 246, 1734, 1894, 1740],
-                "0c03085f87d506ae7af9bf84bcf9c52ed4fc2a802e61fee5b4244e5d887dc77b",
+                [17, 12, 21, 302, 319, 258, 1870, 1791, 2405],
+                "b25c19460e37c99faf3744c2f55d6c0b1f78b90c38d5d2c8597a32a1c8d89954",
             ),
             (
                 make_spec(
@@ -300,8 +300,8 @@ class TestCli:
             ("path", 3, "twohop", 4, None, None, None),
             # all three reach the tail engine; cycle(300) keeps its neighbours in arrays
             (
-                "cycle", 300, "tri", 7, 1826, 1011,
-                "18170e0d1b56bb326685a6cbd8f77b78b7cb34760129a701e7bfeae08b131681",
+                "cycle", 300, "tri", 7, 1954, 987,
+                "a80123fbce7cdb6038f7a2046edf042693c8255f428470485bb3012c1046ce25",
             ),
             (
                 "cycle", 300, "twohop", 7, 1643, 1015,

@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 
@@ -96,3 +97,21 @@ def test_interpreters_building_at_once_each_load_a_whole_module(tmp_path):
     assert [out.strip() for out, _ in outs] == [str(expected)] * 2
     # one build, and no temporary file left behind
     assert len(os.listdir(tmp_path / "__pycache__")) == 1
+
+
+@pytest.mark.skipif(process._compiled is None, reason="the compiled kernel is not built")
+def test_a_build_removes_the_builds_of_earlier_sources(tmp_path):
+    # an earlier source's build for this interpreter goes; another
+    # interpreter's build and a temporary file another interpreter may be
+    # writing stay
+    src = shutil.copy(SOURCE, tmp_path)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / f"_kernel.1-2{EXTENSION_SUFFIXES[0]}"
+    other = cache / "_kernel.1-2.cpython-399-other.so"
+    writing = cache / f"_kernel.1-2{EXTENSION_SUFFIXES[0]}.99.tmp"
+    for path in (stale, other, writing):
+        path.write_bytes(b"")
+    kernel = _native._load(src)
+    assert kernel is not None
+    assert sorted(os.listdir(cache)) == sorted([os.path.basename(kernel.__file__), other.name, writing.name])
