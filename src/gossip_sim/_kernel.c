@@ -1,18 +1,25 @@
 /* The node loops of gossip_sim.process's triangulation_round and
- * twohop_round, run for consecutive rounds in one call.
+ * twohop_round, run for consecutive rounds in one call, and on an
+ * undirected graph the tail engines _TriTail and _HopTail after them, so
+ * that one call runs a whole undirected run_to_convergence.
  *
  * rounds() draws the Mersenne Twister words (Matsumoto and Nishimura 1998)
- * that the Python kernels draw from the same random.Random: it reads the
- * generator's state once by getstate() and writes it back once by
- * setstate().  It reads the graph's neighbour sequences in place, lists
- * or array('H') buffers, sets a queued edge's bytes in the rows at once,
- * and appends a round's edges to the sequences at the end of the round in
- * queue order, as _apply does.  The Python kernels define the semantics;
- * tests hold this file to them round by round and by their pinned counts.
+ * that the Python kernels and engines draw from the same random.Random:
+ * it reads the generator's state once by getstate() and writes it back
+ * once by setstate().  It reads the graph's neighbour sequences in place,
+ * lists or array('H') buffers, sets a queued edge's bytes in the rows at
+ * once, and appends a round's edges to the sequences at the end of the
+ * round in queue order, as _apply does; an engine round's edges are
+ * written after its last candidate, in the order _link writes them.  An
+ * array grows by a sixteenth at a time, one call for many appends, and
+ * the call cuts it back to its neighbours before it returns.  The Python
+ * kernels and engines define the semantics; tests hold this file to them
+ * round by round, run by run and by their pinned counts.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -52,9 +59,11 @@ next_word(Twister *s)
     return y ^ (y >> 18);
 }
 
-/* The kernels' draw for 2 <= d < 2**32: getrandbits(k) with
- * k = d.bit_length() until a value falls below d, where getrandbits(k) for
- * k <= 32 is the top k bits of one word. */
+/* randrange(d) for 1 <= d < 2**32, as process._below draws it:
+ * getrandbits(k) with k = d.bit_length() until a value falls below d, where
+ * getrandbits(k) for k <= 32 is the top k bits of one word.  The kernels
+ * call it for d >= 2 only; the engines for d = 1 too, which draws words
+ * until one's top bit is 0. */
 static Py_ssize_t
 below(Twister *s, Py_ssize_t d)
 {
@@ -67,6 +76,15 @@ below(Twister *s, Py_ssize_t d)
         r = next_word(s) >> (32 - k);
     while (r >= (uint32_t)d);
     return r;
+}
+
+/* random(): 53 bits from two words, as CPython's random_random makes them. */
+static double
+uniform(Twister *s)
+{
+    uint32_t a = next_word(s) >> 5, b = next_word(s) >> 6;
+
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
 /* Read rng.getstate() into s and keep it in *state, or leave *state NULL
@@ -133,15 +151,15 @@ write_state(PyObject *rng, const Twister *s, PyObject *state)
 }
 
 /* The graph as the kernels read it: the neighbour sequences (borrowed
- * from _adj), their 2-byte buffers where they are arrays, their lengths
- * and the rows' bytes. */
+ * from _adj), their lengths and the rows' bytes, and where the sequences
+ * are arrays their 2-byte buffers and their room, the array's length: its
+ * len neighbours and the slots reserved after them. */
 typedef struct {
     Py_ssize_t n;
     PyObject **seq;
-    const uint16_t **words;
-    Py_ssize_t *len;
+    uint16_t **words;
+    Py_ssize_t *len, *room;
     char **row;
-    PyObject *append; /* array.append, for array storage */
 } Graph;
 
 /* Point g at the buffer of array u as it is now; the pointer holds until
@@ -158,8 +176,8 @@ refresh(Graph *g, Py_ssize_t u)
         PyErr_SetString(PyExc_TypeError, "neighbours must be an array('H')");
         return -1;
     }
-    g->words[u] = (const uint16_t *)view.buf;
-    g->len[u] = view.len / 2;
+    g->words[u] = (uint16_t *)view.buf;
+    g->room[u] = view.len / 2;
     PyBuffer_Release(&view);
     return 0;
 }
@@ -186,8 +204,10 @@ open_graph(Graph *g, PyObject *graph)
     g->seq = PyMem_New(PyObject *, n);
     g->len = PyMem_New(Py_ssize_t, n);
     g->row = PyMem_New(char *, n);
-    g->words = arrays ? PyMem_New(const uint16_t *, n) : NULL;
-    if (g->seq == NULL || g->len == NULL || g->row == NULL || (arrays && g->words == NULL)) {
+    g->words = arrays ? PyMem_New(uint16_t *, n) : NULL;
+    g->room = arrays ? PyMem_New(Py_ssize_t, n) : NULL;
+    if (g->seq == NULL || g->len == NULL || g->row == NULL
+        || (arrays && (g->words == NULL || g->room == NULL))) {
         PyErr_NoMemory();
         goto done;
     }
@@ -202,6 +222,7 @@ open_graph(Graph *g, PyObject *graph)
         if (arrays) {
             if (refresh(g, u) < 0)
                 goto done;
+            g->len[u] = g->room[u];
         } else if (PyList_Check(g->seq[u])) {
             g->len[u] = PyList_GET_SIZE(g->seq[u]);
         } else {
@@ -209,8 +230,6 @@ open_graph(Graph *g, PyObject *graph)
             goto done;
         }
     }
-    if (arrays && (g->append = PyObject_GetAttrString((PyObject *)Py_TYPE(g->seq[0]), "append")) == NULL)
-        goto done;
     rc = 0;
 done:
     /* _adj and _rows keep their items alive: the graph holds them */
@@ -225,8 +244,21 @@ close_graph(Graph *g)
     PyMem_Free(g->seq);
     PyMem_Free(g->len);
     PyMem_Free(g->row);
-    PyMem_Free((void *)g->words);
-    Py_XDECREF(g->append);
+    PyMem_Free(g->words);
+    PyMem_Free(g->room);
+}
+
+/* Take the slots reserved and not written off the arrays again. */
+static int
+cut_back(Graph *g)
+{
+    Py_ssize_t u;
+    int rc = 0;
+
+    for (u = 0; g->room != NULL && u < g->n; u++)
+        if (g->room[u] > g->len[u] && PySequence_DelSlice(g->seq[u], g->len[u], g->room[u]) < 0)
+            rc = -1;
+    return rc;
 }
 
 /* Neighbour i of node u, or -1 with an exception set where the sequence
@@ -283,27 +315,325 @@ check_doubling(const Graph *g, const int *queue, Py_ssize_t ends, int *gain)
     return -1;
 }
 
+/* Lengthen array u by about a sixteenth of its room, in one call, so that
+ * appends write into its buffer until the room is used. */
+static int
+reserve(Graph *g, Py_ssize_t u)
+{
+    PyObject *zeros = PyBytes_FromStringAndSize(NULL, 2 * (g->room[u] / 16 + 8)), *done;
+
+    if (zeros == NULL)
+        return -1;
+    memset(PyBytes_AS_STRING(zeros), 0, PyBytes_GET_SIZE(zeros));
+    done = PyObject_CallMethod(g->seq[u], "frombytes", "(O)", zeros);
+    Py_DECREF(zeros);
+    if (done == NULL)
+        return -1;
+    Py_DECREF(done);
+    return refresh(g, u);
+}
+
 /* Append v to node u's neighbours. */
 static int
 append(Graph *g, int u, int v)
 {
-    PyObject *x = PyLong_FromLong(v), *done = NULL;
-    int rc;
-
-    if (x == NULL)
-        return -1;
     if (g->words == NULL) {
-        rc = PyList_Append(g->seq[u], x);
+        PyObject *x = PyLong_FromLong(v);
+        int rc = x == NULL ? -1 : PyList_Append(g->seq[u], x);
+
+        Py_XDECREF(x);
+        if (rc < 0)
+            return -1;
     } else {
-        PyObject *args[2] = {g->seq[u], x};
-        done = PyObject_Vectorcall(g->append, args, 2, NULL);
-        rc = done == NULL ? -1 : 0;
-        Py_XDECREF(done);
+        if (g->len[u] == g->room[u] && reserve(g, u) < 0)
+            return -1;
+        g->words[u][g->len[u]] = (uint16_t)v;
     }
-    Py_DECREF(x);
-    if (rc == 0)
-        g->len[u]++;
-    return rc;
+    g->len[u]++;
+    return 0;
+}
+
+/* Take k queued edges back out of the rows. */
+static void
+unqueue(Graph *g, const int *queue, Py_ssize_t k, int directed)
+{
+    Py_ssize_t i;
+
+    for (i = 0; i < 2 * k; i += 2) {
+        g->row[queue[i]][queue[i + 1]] = 0;
+        if (!directed)
+            g->row[queue[i + 1]][queue[i]] = 0;
+    }
+}
+
+/* One kernel round: queue its edges, *added of them, in the rows at once
+ * and in queue, and check them under tri.  A round that raises leaves the
+ * graph as the round found it. */
+static int
+kernel_round(Graph *g, Twister *s, int tri, int directed, int *queue, Py_ssize_t *added, int *gain)
+{
+    char **row = g->row;
+    Py_ssize_t u, k = 0;
+    long v, w;
+
+    for (u = 0; u < g->n; u++) {
+        Py_ssize_t d = g->len[u];
+        int a, b;
+
+        if (d == 0) {
+            if (directed)
+                continue;
+            raise_named("gossip_sim.graph", "IsolatedNodeError", PyLong_FromSsize_t(u));
+            goto undo;
+        }
+        if (tri) {
+            if (d == 1) {
+                v = w = neighbour(g, u, 0);
+            } else {
+                v = neighbour(g, u, below(s, d));
+                w = v < 0 ? v : neighbour(g, u, below(s, d));
+            }
+            if (w < 0)
+                goto undo;
+            /* the rows hold the snapshot's edges and the queued ones */
+            if (v == w || row[v][w])
+                continue;
+            row[v][w] = row[w][v] = 1;
+            a = (int)(v < w ? v : w);
+            b = (int)(v < w ? w : v);
+        } else {
+            Py_ssize_t d2;
+
+            if ((v = neighbour(g, u, d > 1 ? below(s, d) : 0)) < 0)
+                goto undo;
+            if ((d2 = g->len[v]) == 0)
+                continue;
+            if ((w = neighbour(g, v, d2 > 1 ? below(s, d2) : 0)) < 0)
+                goto undo;
+            if (w == u || row[u][w])
+                continue;
+            row[u][w] = 1;
+            if (directed) {
+                a = (int)u, b = (int)w;
+            } else {
+                row[w][u] = 1;
+                a = (int)(u < w ? u : w);
+                b = (int)(u < w ? w : u);
+            }
+        }
+        queue[2 * k] = a;
+        queue[2 * k + 1] = b;
+        k++;
+    }
+    if (tri && check_doubling(g, queue, 2 * k, gain) < 0)
+        goto undo;
+    *added = k;
+    return 0;
+undo:
+    unqueue(g, queue, k, directed);
+    return -1;
+}
+
+/* A tail engine as process._Tail keeps it: the number of nodes at each
+ * degree and the least positive and the largest degree (the degrees are
+ * the graph's lengths), and what was missing when it was built, listed
+ * lazily.  _TriTail's keys b n + a of the pairs a < b, in row order, or
+ * _HopTail's miss[u], the ids u missed ascending, at miss + start[u] with
+ * left[u] of them still listed. */
+typedef struct {
+    Py_ssize_t *count, low, high, nkeys;
+    uint32_t *keys;
+    uint16_t *miss;
+    Py_ssize_t *start, *left;
+} Tail;
+
+/* Where the rows, the neighbours and the edge count disagree an engine
+ * could index past its counts or run out of missing edges short of the
+ * target, where the Python engines would draw from an empty list for ever
+ * or divide by a cap of 0. */
+static int
+disagree(void)
+{
+    PyErr_SetString(PyExc_ValueError, "the graph's rows, neighbours and edge count disagree");
+    return -1;
+}
+
+static int
+open_tail(Tail *t, const Graph *g, int tri)
+{
+    Py_ssize_t n = g->n, u, w, k = 0, zeros;
+
+    /* the entries to list; each row holds one byte per neighbour */
+    for (u = 0; u < n; u++) {
+        for (w = zeros = 0; w < n; w++)
+            if (!g->row[u][w]) {
+                zeros++;
+                k += tri ? w > u : w != u;
+            }
+        if (g->len[u] + zeros != n)
+            return disagree();
+    }
+    t->count = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
+    if (tri) {
+        t->keys = PyMem_New(uint32_t, k);
+    } else {
+        t->miss = PyMem_New(uint16_t, k);
+        t->start = PyMem_New(Py_ssize_t, n);
+        t->left = PyMem_New(Py_ssize_t, n);
+    }
+    if (t->count == NULL || (tri ? t->keys == NULL : !t->miss || !t->start || !t->left)) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    t->low = n;
+    for (k = u = 0; u < n; u++) {
+        Py_ssize_t d = g->len[u];
+
+        t->count[d]++;
+        if (d && d < t->low)
+            t->low = d;
+        if (d > t->high)
+            t->high = d;
+        if (tri) {
+            for (w = u + 1; w < n; w++)
+                if (!g->row[u][w])
+                    t->keys[t->nkeys++] = (uint32_t)(w * n + u);
+        } else {
+            t->start[u] = k;
+            for (w = 0; w < n; w++)
+                if (w != u && !g->row[u][w])
+                    t->miss[k++] = (uint16_t)w;
+            t->left[u] = k - t->start[u];
+        }
+    }
+    return 0;
+}
+
+static void
+close_tail(Tail *t)
+{
+    PyMem_Free(t->count);
+    PyMem_Free(t->keys);
+    PyMem_Free(t->miss);
+    PyMem_Free(t->start);
+    PyMem_Free(t->left);
+}
+
+/* _Tail._grow: a node at degree d has gained an edge. */
+static void
+grow(Tail *t, Py_ssize_t d)
+{
+    t->count[d]--;
+    t->count[d + 1]++;
+    if (d == t->low && !t->count[d])
+        t->low = d + 1;
+    if (d == t->high)
+        t->high = d + 1;
+}
+
+/* Write k edges, queued in the rows, into the sequences in queue order
+ * and count them, and keep the engine's counts where there is one. */
+static int
+commit(Graph *g, const int *queue, Py_ssize_t k, int directed, long long *count, Tail *t)
+{
+    Py_ssize_t i;
+
+    for (i = 0; i < 2 * k; i += 2) {
+        if (append(g, queue[i], queue[i + 1]) < 0
+            || (!directed && append(g, queue[i + 1], queue[i]) < 0))
+            return -1;
+        (*count)++;
+        if (t != NULL) {
+            grow(t, g->len[queue[i]] - 1);
+            grow(t, g->len[queue[i + 1]] - 1);
+        }
+    }
+    return 0;
+}
+
+/* _TriTail.propose: 1 with the pair a < b in e where u proposes it, 0
+ * where it does not, -1 with an exception set. */
+static int
+propose_tri(const Graph *g, Twister *s, Tail *t, Py_ssize_t u, int *e)
+{
+    for (;;) {
+        Py_ssize_t i;
+
+        if (t->nkeys == 0)
+            return disagree();
+        i = below(s, t->nkeys);
+        e[0] = (int)(t->keys[i] % g->n);
+        e[1] = (int)(t->keys[i] / g->n);
+        if (!g->row[e[0]][e[1]])
+            break;
+        t->keys[i] = t->keys[--t->nkeys]; /* joined since: the last key takes its slot */
+    }
+    return g->row[u][e[0]] && g->row[u][e[1]];
+}
+
+/* _HopTail.propose, as propose_tri. */
+static int
+propose_hop(const Graph *g, Twister *s, Tail *t, Py_ssize_t u, int *e)
+{
+    const char *row = g->row[u];
+    uint16_t *miss = t->miss + t->start[u];
+    Py_ssize_t w;
+    long v;
+
+    for (;;) {
+        Py_ssize_t i;
+
+        if (t->left[u] == 0)
+            return disagree();
+        i = below(s, t->left[u]);
+        if (!row[w = miss[i]])
+            break;
+        miss[i] = miss[--t->left[u]]; /* joined since: the last id takes its slot */
+    }
+    if ((v = neighbour(g, w, below(s, g->len[w]))) < 0)
+        return -1;
+    if (!row[v] || !(uniform(s) * (double)t->high * (double)g->len[v] < (double)(g->len[w] * t->low)))
+        return 0;
+    e[0] = (int)(u < w ? u : w);
+    e[1] = (int)(u < w ? w : u);
+    return 1;
+}
+
+/* _Tail.draw where the cap is below 1: the number of empty rounds before
+ * the next round that adds an edge, with that round's proposals in drawn,
+ * *k of them; -1 with an exception set.  The graph is not changed. */
+static long long
+draw(const Graph *g, Twister *s, Tail *t, int tri, long long missing, double cap, int *drawn, Py_ssize_t *k)
+{
+    const Py_ssize_t n = g->n;
+    const double log_stay = log1p(-cap);
+    long long slot = -1, end = 0;
+
+    /* Slots run over (round, node) in order, each a candidate with
+     * probability cap; end closes the round of the latest candidate.  A
+     * jump past it skips the rounds without one and lands on the next
+     * round's first candidate. */
+    for (*k = 0;;) {
+        Py_ssize_t u, d;
+        double bound;
+        int e;
+
+        slot += 1 + (long long)(log(1.0 - uniform(s)) / log_stay);
+        if (slot >= end) {
+            if (*k)
+                return end / n - 1;
+            end = slot - slot % n + n;
+        }
+        u = (Py_ssize_t)(slot % n);
+        d = g->len[u];
+        bound = tri ? (double)(2 * missing) / (double)(d * d)
+                    : (double)((n - 1 - d) * t->high) / (double)(d * t->low);
+        if (!(uniform(s) * cap < bound))
+            continue;
+        if ((e = (tri ? propose_tri : propose_hop)(g, s, t, u, drawn + 2 * *k)) < 0)
+            return -1;
+        *k += e;
+    }
 }
 
 static PyObject *
@@ -311,12 +641,13 @@ rounds(PyObject *module, PyObject *args)
 {
     PyObject *graph, *rng, *state = NULL, *count_obj = NULL, *result = NULL;
     int tri, directed;
-    Py_ssize_t budget, n, ran = 0, added = 0, u, i;
-    long long target, count = 0, start;
+    Py_ssize_t budget, n, ran = 0, added = 0, i, j, k;
+    long long target, count = 0, start, skip;
     double share;
-    int *queue = NULL, *gain = NULL, failed = 1;
+    int *queue = NULL, *drawn = NULL, *gain = NULL, failed = 1;
     Twister s;
     Graph g;
+    Tail t;
 
     if (!PyArg_ParseTuple(args, "OOppndL:rounds", &graph, &rng, &tri, &directed, &budget, &share, &target))
         return NULL;
@@ -336,98 +667,75 @@ rounds(PyObject *module, PyObject *args)
         return NULL;
     }
     Py_DECREF(count_obj);
-    /* a round queues at most one edge per node */
+    memset(&t, 0, sizeof t);
+    /* a round queues at most one edge per node, an engine round too */
     queue = PyMem_New(int, 2 * n);
+    drawn = PyMem_New(int, 2 * n);
     gain = PyMem_Calloc(n, sizeof(int));
-    if (queue == NULL || gain == NULL) {
+    if (queue == NULL || drawn == NULL || gain == NULL) {
         PyErr_NoMemory();
         goto exit;
     }
     if (read_state(rng, &s, &state) < 0)
         goto exit;
 
-    for (;;) {
-        char **row = g.row;
-        long v, w;
-
-        added = 0;
-        for (u = 0; u < n; u++) {
-            Py_ssize_t d = g.len[u];
-            int a, b;
-
-            if (d == 0) {
-                if (directed)
-                    continue;
-                raise_named("gossip_sim.graph", "IsolatedNodeError", PyLong_FromSsize_t(u));
-                goto unqueue;
-            }
-            if (tri) {
-                if (d == 1) {
-                    v = w = neighbour(&g, u, 0);
-                } else {
-                    v = neighbour(&g, u, below(&s, d));
-                    w = v < 0 ? v : neighbour(&g, u, below(&s, d));
-                }
-                if (w < 0)
-                    goto unqueue;
-                /* the rows hold the snapshot's edges and the queued ones */
-                if (v == w || row[v][w])
-                    continue;
-                row[v][w] = row[w][v] = 1;
-                a = (int)(v < w ? v : w);
-                b = (int)(v < w ? w : v);
-            } else {
-                Py_ssize_t d2;
-
-                if ((v = neighbour(&g, u, d > 1 ? below(&s, d) : 0)) < 0)
-                    goto unqueue;
-                if ((d2 = g.len[v]) == 0)
-                    continue;
-                if ((w = neighbour(&g, v, d2 > 1 ? below(&s, d2) : 0)) < 0)
-                    goto unqueue;
-                if (w == u || row[u][w])
-                    continue;
-                row[u][w] = 1;
-                if (directed) {
-                    a = (int)u, b = (int)w;
-                } else {
-                    row[w][u] = 1;
-                    a = (int)(u < w ? u : w);
-                    b = (int)(u < w ? w : u);
-                }
-            }
-            queue[2 * added] = a;
-            queue[2 * added + 1] = b;
-            added++;
-        }
-        if (tri && check_doubling(&g, queue, 2 * added, gain) < 0)
-            goto unqueue;
-        /* the round's edges join the sequences in queue order */
-        for (i = 0; i < added; i++) {
-            if (append(&g, queue[2 * i], queue[2 * i + 1]) < 0
-                || (!directed && append(&g, queue[2 * i + 1], queue[2 * i]) < 0))
-                goto exit;
-            count++;
-        }
-        if (g.words != NULL)
-            for (i = 0; i < 2 * added; i++)
-                if (refresh(&g, queue[i]) < 0)
-                    goto exit;
+    /* the kernel rounds, to the first that adds fewer than share * n edges */
+    do {
+        if (kernel_round(&g, &s, tri, directed, queue, &added, gain) < 0
+            || commit(&g, queue, added, directed, &count, NULL) < 0)
+            goto exit;
         ran++;
-        if (ran >= budget || count >= target || (double)added < share * (double)n)
-            break;
+    } while (ran < budget && count < target && (double)added >= share * (double)n);
+
+    /* an undirected run goes on in its engine, as run_to_convergence's does */
+    if (!directed && ran < budget && count < target) {
+        if (open_tail(&t, &g, tri) < 0)
+            goto exit;
+        do {
+            long long missing = (long long)n * (n - 1) / 2 - count;
+            double cap = tri ? (double)(2 * missing) / (double)(t.low * t.low)
+                             : (double)((n - 1 - t.low) * t.high) / (double)(t.low * t.low);
+
+            if (!(cap > 0.0)) { /* complete, yet short of target */
+                disagree();
+                goto exit;
+            }
+            if (cap >= 1.0) { /* no slot could be skipped: a kernel round */
+                if (kernel_round(&g, &s, tri, 0, queue, &added, gain) < 0
+                    || commit(&g, queue, added, 0, &count, &t) < 0)
+                    goto exit;
+            } else {
+                int *spare = queue;
+
+                if ((skip = draw(&g, &s, &t, tri, missing, cap, drawn, &k)) < 0)
+                    goto exit;
+                /* into the rows after the last candidate: a pair proposed
+                 * twice joins once, at its first place */
+                for (i = j = 0; i < 2 * k; i += 2)
+                    if (!g.row[drawn[i]][drawn[i + 1]]) {
+                        g.row[drawn[i]][drawn[i + 1]] = g.row[drawn[i + 1]][drawn[i]] = 1;
+                        drawn[2 * j] = drawn[i];
+                        drawn[2 * j + 1] = drawn[i + 1];
+                        j++;
+                    }
+                if (tri && check_doubling(&g, drawn, 2 * j, gain) < 0) {
+                    unqueue(&g, drawn, j, 0);
+                    goto exit;
+                }
+                if (skip >= budget - ran) { /* drawn past the cap, not applied */
+                    unqueue(&g, drawn, j, 0);
+                    ran = budget;
+                    break;
+                }
+                ran += (Py_ssize_t)skip;
+                if (commit(&g, drawn, j, 0, &count, &t) < 0)
+                    goto exit;
+                queue = drawn, drawn = spare, added = j;
+            }
+            ran++;
+        } while (ran < budget && count < target);
     }
     failed = 0;
-    goto exit;
-
-unqueue:
-    /* a round that raises leaves the graph as the round found it */
-    for (i = 0; i < added; i++) {
-        g.row[queue[2 * i]][queue[2 * i + 1]] = 0;
-        if (!directed)
-            g.row[queue[2 * i + 1]][queue[2 * i]] = 0;
-    }
-    added = 0;
 
 exit:
     /* the rounds run, or the ones before an error, stay applied and drawn */
@@ -435,6 +743,8 @@ exit:
         PyObject *type, *value, *trace;
 
         PyErr_Fetch(&type, &value, &trace);
+        if (cut_back(&g) < 0)
+            failed = 1;
         if (count != start) {
             PyObject *c = PyLong_FromLongLong(count);
             if (c == NULL || PyObject_SetAttrString(graph, "edge_count", c) < 0)
@@ -461,7 +771,9 @@ exit:
     }
     Py_XDECREF(state);
     PyMem_Free(queue);
+    PyMem_Free(drawn);
     PyMem_Free(gain);
+    close_tail(&t);
     close_graph(&g);
     return result;
 }
@@ -473,15 +785,18 @@ static PyMethodDef methods[] = {
      "true, else the two-hop walk, on a digraph where directed is true.\n"
      "Stops after budget rounds, after the round that takes g's edge count\n"
      "to target, or after the first round that adds fewer than share * n\n"
-     "edges.  Returns the rounds run and the last round's edges in queue\n"
-     "order."},
+     "edges.  An undirected run does not stop there: it runs on in the\n"
+     "kind's tail engine, as run_to_convergence does, to target or budget,\n"
+     "and a skip past budget counts budget rounds and adds nothing.\n"
+     "Returns the rounds run, skipped ones included, and the last round's\n"
+     "edges in the order they were written."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "gossip_sim._kernel",
-    .m_doc = "Kernel rounds of gossip_sim.process, compiled.",
+    .m_doc = "Kernel rounds and undirected tail engines of gossip_sim.process, compiled.",
     .m_size = -1,
     .m_methods = methods,
 };

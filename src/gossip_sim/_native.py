@@ -67,7 +67,7 @@ def _build(src: str, out: str) -> bool:
     tmp = f"{out}.{os.getpid()}.tmp"
     try:
         done = subprocess.run(
-            [*cc, "-O2", "-fPIC", "-I", sysconfig.get_paths()["include"], src, "-o", tmp],
+            [*cc, "-O2", "-fPIC", "-I", sysconfig.get_paths()["include"], src, "-lm", "-o", tmp],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=300,
         ).returncode == 0
         if done:

@@ -180,16 +180,17 @@ class _Counted:
 @pytest.fixture(params=["compiled", "reference"])
 def kernels(request, monkeypatch):
     """``run_to_convergence`` on the compiled rounds, checked to be called,
-    or on the Python kernels alone, as where the extension cannot be built."""
+    or on the Python kernels alone, as where the extension cannot be built:
+    the counter of compiled calls, or None."""
     if request.param == "reference":
         monkeypatch.setattr(process, "_compiled", None)
-        yield
+        yield None
         return
     if process._compiled is None:
         pytest.skip("the compiled kernel is not built")
     counted = _Counted(process._compiled)
     monkeypatch.setattr(process, "_compiled", counted)
-    yield
+    yield counted
     assert counted.calls > 0
 
 
@@ -216,6 +217,9 @@ def test_rounds_to_convergence_are_pinned(kernels, family, n, kind, expected):
         config = ProcessConfig(kind=ProcessKind(kind), seed=trial_seed(1, i))
         rounds.append(run_to_convergence(generate(family, n), config)[0])
     assert rounds == expected
+    if kernels is not None and kind != "dtwohop":
+        # an undirected run, its engine's rounds too, is one compiled call
+        assert kernels.calls == 3
 
 
 @pytest.mark.parametrize(
@@ -270,11 +274,12 @@ def _kernel_phase(g, kind, seed, max_rounds, compiled):
 @pytest.mark.parametrize(
     "family, n, kind, max_rounds",
     [
-        *[(family, n, kind, 10**7) for family, n in (("cycle", 64), ("cycle", 300), ("path", 32), ("star", 64))
-          for kind in ("tri", "twohop")],
         ("dstrong", 32, "dtwohop", 10**7),
-        # capped in the middle of the kernel phase
+        ("dweak", 64, "dtwohop", 10**7),
+        # an undirected call runs on in the engine after the hand-over;
+        # capped in the middle of the kernel phase, it stops where they do
         ("cycle", 64, "tri", 40),
+        ("cycle", 300, "twohop", 60),
     ],
 )
 def test_compiled_rounds_hand_over_as_the_kernels_do(family, n, kind, max_rounds):
@@ -287,6 +292,75 @@ def test_compiled_rounds_hand_over_as_the_kernels_do(family, n, kind, max_rounds
         assert g._rows == h._rows and g.edge_count == h.edge_count
     if max_rounds < 10**7:
         assert compiled[0] == max_rounds
+
+
+def _both_paths(monkeypatch, make, kind, seed, max_rounds=10**7):
+    """``run_to_convergence`` on a graph from ``make`` compiled and on the
+    Python kernels and engines, checked to leave the same neighbour
+    orders, rows and edge count: both results, and the Python path's graph."""
+    runs = []
+    for compiled in (process._compiled, None):
+        monkeypatch.setattr(process, "_compiled", compiled)
+        g = make()
+        config = ProcessConfig(kind=ProcessKind(kind), seed=seed, max_rounds=max_rounds)
+        runs.append((run_to_convergence(g, config), g))
+    (result, g), (expected, h) = runs
+    assert [list(out) for out in g._adj] == [list(out) for out in h._adj]
+    assert g._rows == h._rows and g.edge_count == h.edge_count
+    return result, expected, h
+
+
+def _k_less_one(n):
+    return lambda: UndirectedGraph(n, [(a, b) for b in range(n) for a in range(b) if (a, b) != (0, 1)])
+
+
+@compiled_only
+@pytest.mark.parametrize("kind", ["tri", "twohop"])
+@pytest.mark.parametrize(
+    "make, max_rounds",
+    [
+        (lambda: generate("cycle", 64), 10**7),
+        (lambda: generate("cycle", 300), 10**7),
+        (lambda: generate("path", 32), 10**7),
+        # under tri, kernel rounds run inside the engine's phase
+        (lambda: generate("star", 64), 10**7),
+        (lambda: generate("random", 64, 5, p=0.1), 10**7),
+        # one missing pair: the engines draw from lists of one entry
+        (_k_less_one(8), 10**7),
+        # capped inside the kernel phase
+        (lambda: generate("cycle", 64), 40),
+    ],
+    ids=["cycle64", "cycle300", "path32", "star64", "random64", "K8-less-one", "cycle64-cap40"],
+)
+def test_compiled_runs_match_the_python_runs(monkeypatch, make, max_rounds, kind):
+    # the same rounds, neighbour orders, rows and edge count on both paths
+    for seed in (trial_seed(1, 0), trial_seed(1, 1)):
+        result, expected, _ = _both_paths(monkeypatch, make, kind, seed, max_rounds)
+        assert result == expected and expected[1] == (max_rounds < 10**7)
+
+
+@compiled_only
+def test_compiled_runs_match_the_python_runs_capped_inside_a_skip(monkeypatch):
+    # K30 less one edge, as test_tail's test_cap_inside_a_skip_reports_the_cap:
+    # a skip past the cap draws its round and does not apply it
+    capped = 0
+    for seed in range(20):
+        result, expected, _ = _both_paths(monkeypatch, _k_less_one(30), "tri", seed, 5)
+        assert result == expected
+        capped += expected[1]
+    assert capped >= 5
+
+
+@compiled_only
+@pytest.mark.parametrize("max_rounds", [60, 200])
+def test_compiled_runs_match_the_python_runs_capped_on_a_kernel_round_in_the_engine(monkeypatch, max_rounds):
+    # star(64)/tri hands over after round 0, which adds one edge at most,
+    # and its engine's cap stays at 1 or above until near the end: the
+    # capping round is a kernel round run after the hand-over
+    for seed in (trial_seed(1, 0), trial_seed(1, 1)):
+        result, expected, h = _both_paths(monkeypatch, lambda: generate("star", 64), "tri", seed, max_rounds)
+        assert result == expected == (max_rounds, True)
+        assert process._tail(h, ProcessKind.TRIANGULATION, None).cap() >= 1
 
 
 @compiled_only
@@ -317,6 +391,21 @@ def test_the_compiled_rounds_run_only_where_nothing_observes_a_kernel(monkeypatc
         monkeypatch.setattr(process, replaced, lambda *args, **kwargs: original(*args, **kwargs))
     run_to_convergence(generate("cycle", 32), ProcessConfig(kind=ProcessKind.TRIANGULATION, seed=1), trace_sink)
     assert (counted.calls > 0) == (trace_sink is None and replaced is None)
+
+
+@compiled_only
+@pytest.mark.parametrize("kind", ["tri", "twohop"])
+def test_a_compiled_call_that_raises_leaves_the_arrays_holding_their_neighbours(kind):
+    # an edge count one short of the rows: the engine runs out of missing
+    # edges at the complete graph and raises, after rounds whose appends
+    # wrote into slots reserved in the arrays; the rounds run stay applied
+    g = generate("cycle", 300)
+    g.edge_count -= 1
+    with pytest.raises(ValueError, match="disagree"):
+        run_to_convergence(g, ProcessConfig(kind=ProcessKind(kind), seed=1))
+    assert g.edge_count == 300 * 299 // 2 - 1
+    for u, row in enumerate(g._rows):
+        assert sorted(g._adj[u]) == [v for v in range(300) if row[v]]
 
 
 @pytest.mark.parametrize(
@@ -368,7 +457,7 @@ def test_engine_draw_is_randrange_and_choice(m):
 
 def test_triangulation_engine_draws_a_missing_pair_by_randrange():
     # node 0 sees all four missing pairs, so it proposes the pair at
-    # randrange(4) of the engine's missing keys, b * n + a, by its inlined draw
+    # randrange(4) of the engine's missing keys, b * n + a, drawn by _below
     missing = ((1, 2), (3, 5), (4, 9), (7, 11))
     g = UndirectedGraph(12, [(a, b) for b in range(12) for a in range(b) if (a, b) not in missing])
     tail = process._tail(g, ProcessKind.TRIANGULATION, None)
