@@ -6,15 +6,16 @@
  * rounds() draws the Mersenne Twister words (Matsumoto and Nishimura 1998)
  * that the Python kernels and engines draw from the same random.Random:
  * it reads the generator's state once by getstate() and writes it back
- * once by setstate().  It reads the graph's neighbour sequences in place,
- * lists or array('H') buffers, sets a queued edge's bytes in the rows at
- * once, and appends a round's edges to the sequences at the end of the
+ * once by setstate().  It reads the graph's neighbour arrays in place,
+ * through their array('H') buffers, sets a queued edge's bytes in the rows
+ * at once, and appends a round's edges to the arrays at the end of the
  * round in queue order, as _apply does; an engine round's edges are
  * written after its last candidate, in the order _link writes them.  An
- * array grows by a sixteenth at a time, one call for many appends, and
- * the call cuts it back to its neighbours before it returns.  The Python
- * kernels and engines define the semantics; tests hold this file to them
- * round by round, run by run and by their pinned counts.
+ * array that runs out of room is replaced once, in _adj, by one with room
+ * for the n - 1 neighbours a node can have, and the call cuts it back to
+ * its neighbours before it returns.  The Python kernels and engines define
+ * the semantics; tests hold this file to them round by round, run by run
+ * and by their pinned counts.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -150,20 +151,20 @@ write_state(PyObject *rng, const Twister *s, PyObject *state)
     return done == NULL ? -1 : 0;
 }
 
-/* The graph as the kernels read it: the neighbour sequences (borrowed
- * from _adj), their lengths and the rows' bytes, and where the sequences
- * are arrays their 2-byte buffers and their room, the array's length: its
- * len neighbours and the slots reserved after them. */
+/* The graph as the kernels read it: _adj, its arrays (borrowed from it),
+ * their 2-byte buffers, their lengths and the rows' bytes, and each
+ * array's room, its length: its len neighbours and the slots reserved
+ * after them. */
 typedef struct {
     Py_ssize_t n;
-    PyObject **seq;
+    PyObject *adj, **seq;
     uint16_t **words;
     Py_ssize_t *len, *room;
     char **row;
 } Graph;
 
 /* Point g at the buffer of array u as it is now; the pointer holds until
- * the array grows, which only this file does while a call runs. */
+ * the array is replaced, which only this file does while a call runs. */
 static int
 refresh(Graph *g, Py_ssize_t u)
 {
@@ -185,12 +186,12 @@ refresh(Graph *g, Py_ssize_t u)
 static int
 open_graph(Graph *g, PyObject *graph)
 {
-    PyObject *adj = NULL, *rows = NULL;
+    PyObject *adj, *rows = NULL;
     Py_ssize_t u, n;
-    int arrays, rc = -1;
+    int rc = -1;
 
     memset(g, 0, sizeof *g);
-    adj = PyObject_GetAttrString(graph, "_adj");
+    g->adj = adj = PyObject_GetAttrString(graph, "_adj");
     rows = PyObject_GetAttrString(graph, "_rows");
     if (adj == NULL || rows == NULL)
         goto done;
@@ -200,14 +201,12 @@ open_graph(Graph *g, PyObject *graph)
         goto done;
     }
     g->n = n = PyList_GET_SIZE(adj);
-    arrays = !PyList_Check(PyList_GET_ITEM(adj, 0));
     g->seq = PyMem_New(PyObject *, n);
+    g->words = PyMem_New(uint16_t *, n);
     g->len = PyMem_New(Py_ssize_t, n);
+    g->room = PyMem_New(Py_ssize_t, n);
     g->row = PyMem_New(char *, n);
-    g->words = arrays ? PyMem_New(uint16_t *, n) : NULL;
-    g->room = arrays ? PyMem_New(Py_ssize_t, n) : NULL;
-    if (g->seq == NULL || g->len == NULL || g->row == NULL
-        || (arrays && (g->words == NULL || g->room == NULL))) {
+    if (g->seq == NULL || g->words == NULL || g->len == NULL || g->room == NULL || g->row == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -219,21 +218,13 @@ open_graph(Graph *g, PyObject *graph)
             goto done;
         }
         g->row[u] = PyByteArray_AS_STRING(row);
-        if (arrays) {
-            if (refresh(g, u) < 0)
-                goto done;
-            g->len[u] = g->room[u];
-        } else if (PyList_Check(g->seq[u])) {
-            g->len[u] = PyList_GET_SIZE(g->seq[u]);
-        } else {
-            PyErr_SetString(PyExc_TypeError, "neighbours must all be lists or all be arrays");
+        if (refresh(g, u) < 0)
             goto done;
-        }
+        g->len[u] = g->room[u];
     }
     rc = 0;
 done:
-    /* _adj and _rows keep their items alive: the graph holds them */
-    Py_XDECREF(adj);
+    /* _rows keeps its items alive: the graph holds it */
     Py_XDECREF(rows);
     return rc;
 }
@@ -241,11 +232,12 @@ done:
 static void
 close_graph(Graph *g)
 {
+    Py_XDECREF(g->adj);
     PyMem_Free(g->seq);
-    PyMem_Free(g->len);
-    PyMem_Free(g->row);
     PyMem_Free(g->words);
+    PyMem_Free(g->len);
     PyMem_Free(g->room);
+    PyMem_Free(g->row);
 }
 
 /* Take the slots reserved and not written off the arrays again. */
@@ -255,23 +247,22 @@ cut_back(Graph *g)
     Py_ssize_t u;
     int rc = 0;
 
-    for (u = 0; g->room != NULL && u < g->n; u++)
+    for (u = 0; u < g->n; u++)
         if (g->room[u] > g->len[u] && PySequence_DelSlice(g->seq[u], g->len[u], g->room[u]) < 0)
             rc = -1;
     return rc;
 }
 
-/* Neighbour i of node u, or -1 with an exception set where the sequence
+/* Neighbour i of node u, or -1 with an exception set where the array
  * holds no node of the graph. */
 static inline long
 neighbour(const Graph *g, Py_ssize_t u, Py_ssize_t i)
 {
-    long x = g->words ? g->words[u][i] : PyLong_AsLong(PyList_GET_ITEM(g->seq[u], i));
+    long x = g->words[u][i];
 
-    if ((unsigned long)x < (unsigned long)g->n)
+    if (x < g->n)
         return x;
-    if (!PyErr_Occurred())
-        PyErr_Format(PyExc_ValueError, "node %zd has a neighbour out of range", u);
+    PyErr_Format(PyExc_ValueError, "node %zd has a neighbour out of range", u);
     return -1;
 }
 
@@ -315,21 +306,38 @@ check_doubling(const Graph *g, const int *queue, Py_ssize_t ends, int *gain)
     return -1;
 }
 
-/* Lengthen array u by about a sixteenth of its room, in one call, so that
- * appends write into its buffer until the room is used. */
+/* Where the rows, the neighbours and the edge count disagree an engine
+ * could index past its counts or run out of missing edges short of the
+ * target, where the Python engines would draw from an empty list for ever
+ * or divide by a cap of 0, and an append could pass n - 1 neighbours. */
+static int
+disagree(void)
+{
+    PyErr_SetString(PyExc_ValueError, "the graph's rows, neighbours and edge count disagree");
+    return -1;
+}
+
+/* array('H', [0]), repeated into the slots reserve adds */
+static PyObject *one_slot;
+
+/* Replace array u in _adj by one of n - 1 slots, the most neighbours a
+ * node can have, its neighbours first, so that appends write into its
+ * buffer from then on.  The new array is allocated to its length, where
+ * one lengthened in place would take a sixteenth more. */
 static int
 reserve(Graph *g, Py_ssize_t u)
 {
-    PyObject *zeros = PyBytes_FromStringAndSize(NULL, 2 * (g->room[u] / 16 + 8)), *done;
+    PyObject *pad = PySequence_Repeat(one_slot, g->n - 1 - g->len[u]), *wide;
 
-    if (zeros == NULL)
+    if (pad == NULL)
         return -1;
-    memset(PyBytes_AS_STRING(zeros), 0, PyBytes_GET_SIZE(zeros));
-    done = PyObject_CallMethod(g->seq[u], "frombytes", "(O)", zeros);
-    Py_DECREF(zeros);
-    if (done == NULL)
+    wide = PySequence_Concat(g->seq[u], pad);
+    Py_DECREF(pad);
+    if (wide == NULL)
         return -1;
-    Py_DECREF(done);
+    PyList_SET_ITEM(g->adj, u, wide);
+    Py_DECREF(g->seq[u]);
+    g->seq[u] = wide;
     return refresh(g, u);
 }
 
@@ -337,19 +345,13 @@ reserve(Graph *g, Py_ssize_t u)
 static int
 append(Graph *g, int u, int v)
 {
-    if (g->words == NULL) {
-        PyObject *x = PyLong_FromLong(v);
-        int rc = x == NULL ? -1 : PyList_Append(g->seq[u], x);
-
-        Py_XDECREF(x);
-        if (rc < 0)
+    if (g->len[u] >= g->room[u]) {
+        if (g->len[u] >= g->n - 1)
+            return disagree();
+        if (reserve(g, u) < 0)
             return -1;
-    } else {
-        if (g->len[u] == g->room[u] && reserve(g, u) < 0)
-            return -1;
-        g->words[u][g->len[u]] = (uint16_t)v;
     }
-    g->len[u]++;
+    g->words[u][g->len[u]++] = (uint16_t)v;
     return 0;
 }
 
@@ -446,17 +448,6 @@ typedef struct {
     uint16_t *miss;
     Py_ssize_t *start, *left;
 } Tail;
-
-/* Where the rows, the neighbours and the edge count disagree an engine
- * could index past its counts or run out of missing edges short of the
- * target, where the Python engines would draw from an empty list for ever
- * or divide by a cap of 0. */
-static int
-disagree(void)
-{
-    PyErr_SetString(PyExc_ValueError, "the graph's rows, neighbours and edge count disagree");
-    return -1;
-}
 
 static int
 open_tail(Tail *t, const Graph *g, int tri)
@@ -637,7 +628,7 @@ draw(const Graph *g, Twister *s, Tail *t, int tri, long long missing, double cap
 }
 
 static PyObject *
-rounds(PyObject *module, PyObject *args)
+rounds(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *graph, *rng, *state = NULL, *count_obj = NULL, *result = NULL;
     int tri, directed;
@@ -804,5 +795,12 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    return PyModule_Create(&kernel_module);
+    PyObject *array = PyImport_ImportModule("array");
+
+    if (array == NULL)
+        return NULL;
+    if (one_slot == NULL)
+        one_slot = PyObject_CallMethod(array, "array", "s[i]", "H", 0);
+    Py_DECREF(array);
+    return one_slot == NULL ? NULL : PyModule_Create(&kernel_module);
 }

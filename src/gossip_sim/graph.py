@@ -2,13 +2,11 @@
 
 Both graph classes are grow-only: the simulated processes add edges and
 never remove them.  They share one storage layout: every node's
-(out-)neighbors are kept in a sequence, for uniform sampling, and as a
-byte row of length n, for membership tests; both are O(1).  The sequence
-is a list up to 256 nodes, where CPython's specialised list subscripts
-and appends are fastest, and an ``array('H')`` of 2-byte ints above.  The
-rows cost n^2 bytes per graph from construction, against the 2 n^2 bytes
-the arrays hold once a run above 256 nodes reaches the complete graph.
-Nodes are dense integers ``0..n-1``.
+(out-)neighbors are kept in an ``array('H')`` of 2-byte ints, for uniform
+sampling, and as a byte row of length n, for membership tests; both are
+O(1).  The rows cost n^2 bytes per graph from construction, against the
+2 n^2 bytes the arrays hold once a run reaches the complete graph.  Nodes
+are dense integers ``0..n-1``.
 """
 
 from __future__ import annotations
@@ -38,11 +36,6 @@ __all__ = [
 # Every node index fits the 2-byte ints of the neighbour arrays.
 MAX_NODES = 2**13
 
-# Most nodes whose graph keeps its neighbours in lists; above, in arrays.
-# Up to here every node index is one of CPython's cached small ints, so a
-# list holds only pointers (0.6 MiB for complete_graph(256), 2.6 MiB at 384).
-_LIST_NODES = 256
-
 
 class GraphError(ValueError):
     """Base class for graph usage errors."""
@@ -70,12 +63,13 @@ class EdgeListFormatError(GraphError):
 
 class _Graph:
     """Storage shared by both graph types: ``_adj[u]`` holds the
-    (out-)neighbors of ``u``, a list or an ``array('H')`` by n alone, and
-    ``_rows[u][v]`` is 1 exactly when the edge
-    from ``u`` to ``v`` is present, an undirected edge in both directions.
-    ``add_edge`` checks an edge and writes it by ``_link``, each subclass's
-    one writer of an edge, which ``run_to_convergence`` calls for engine
-    rounds; the round kernels write a round's edges directly, a row's byte as each queues."""
+    (out-)neighbors of ``u`` in an ``array('H')``, which the compiled
+    rounds may replace by one holding the same, and ``_rows[u][v]`` is 1
+    exactly when the edge from ``u`` to ``v`` is present, an undirected edge
+    in both directions.  ``add_edge`` checks an edge and writes it by
+    ``_link``, each subclass's one writer of an edge, which
+    ``run_to_convergence`` calls for engine rounds; the round kernels write
+    a round's edges directly, a row's byte as each queues."""
 
     __slots__ = ("n", "_adj", "_rows", "edge_count")
 
@@ -83,9 +77,8 @@ class _Graph:
         if not 1 <= n <= MAX_NODES:
             raise GraphError(f"need 1 <= n <= {MAX_NODES} nodes, got n={n}")
         self.n = n
-        self._adj: list[list[int]] | list[array] = (
-            [[] for _ in range(n)] if n <= _LIST_NODES else [array("H") for _ in range(n)]
-        )
+        # copies of one empty array: n constructor calls take 2-3x as long
+        self._adj = list(map(array.__copy__, [array("H")] * n))
         self._rows = [bytearray(n) for _ in range(n)]
         self.edge_count = 0
         for u, v in edges:
@@ -126,7 +119,7 @@ class _Graph:
     def copy(self):
         g = type(self).__new__(type(self))
         g.n = self.n
-        g._adj = list(map(list.copy if self.n <= _LIST_NODES else array.__copy__, self._adj))
+        g._adj = list(map(array.__copy__, self._adj))
         g._rows = list(map(bytearray.copy, self._rows))
         g.edge_count = self.edge_count
         return g

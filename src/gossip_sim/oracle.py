@@ -313,9 +313,6 @@ def empirical_vs_exact(g, kind: ProcessKind, trials: int, seed: int) -> dict:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    from scipy.stats import chi2
-
-    dist = single_round_distribution(g, kind)
     exact = expected_rounds(g, kind)
     target = convergence_target(g, kind)
     step = round_function(kind)
@@ -334,9 +331,7 @@ def empirical_vs_exact(g, kind: ProcessKind, trials: int, seed: int) -> dict:
         counts[first] += 1
         rounds_seen.append(rounds)
 
-    unexpected = set(counts) - set(dist)
-    if unexpected:
-        raise AssertionError(f"outcomes outside oracle support: {unexpected}")
+    chi_sq, p_value = _round0_chi_square(g, kind, counts, trials)
     mean = statistics.fmean(rounds_seen)
     sd = statistics.stdev(rounds_seen) if trials > 1 else 0.0
     se = sd / math.sqrt(trials)
@@ -344,13 +339,6 @@ def empirical_vs_exact(g, kind: ProcessKind, trials: int, seed: int) -> dict:
         z = 0.0 if mean == float(exact) else math.inf
     else:
         z = (mean - float(exact)) / se
-    chi_sq = 0.0
-    df = len(dist) - 1
-    for edges, p in dist.items():
-        expected_count = float(p) * trials
-        observed = counts.get(edges, 0)
-        chi_sq += (observed - expected_count) ** 2 / expected_count
-    p_value = 1.0 if df == 0 else float(chi2.sf(chi_sq, df))
     return {
         "graph": _graph_label(g),
         "kind": kind.value,
@@ -361,3 +349,21 @@ def empirical_vs_exact(g, kind: ProcessKind, trials: int, seed: int) -> dict:
         "chi_square": chi_sq,
         "p_value": p_value,
     }
+
+
+def _round0_chi_square(g, kind: ProcessKind, counts: Counter, trials: int) -> tuple[float, float]:
+    """Pearson's chi-square of ``counts``, the edge sets the first round
+    added in ``trials`` runs on ``g``, against ``single_round_distribution``,
+    and its p-value: 1 where the round has one outcome."""
+    from scipy.stats import chi2
+
+    dist = single_round_distribution(g, kind)
+    unexpected = set(counts) - set(dist)
+    if unexpected:
+        raise AssertionError(f"outcomes outside oracle support: {unexpected}")
+    chi_sq = 0.0
+    for edges, p in dist.items():
+        expected_count = float(p) * trials
+        chi_sq += (counts.get(edges, 0) - expected_count) ** 2 / expected_count
+    df = len(dist) - 1
+    return chi_sq, 1.0 if df == 0 else float(chi2.sf(chi_sq, df))

@@ -29,6 +29,7 @@ from gossip_sim.generators import (
 from gossip_sim.graph import UndirectedGraph, transitive_closure
 from gossip_sim.harness import ExperimentSpec, run_sweep
 from gossip_sim.oracle import (
+    _round0_chi_square,
     connected_graphs_upto,
     empirical_vs_exact,
     nonmonotone_search,
@@ -128,23 +129,13 @@ def undirected_sweeps():
 
 
 def _round0_chi_square_pvalue(g, kind, trials, seed) -> float:
-    from scipy.stats import chi2
-
-    dist = single_round_distribution(g, kind)
     step = round_function(kind)
     counts: Counter = Counter()
     for i in range(trials):
         gi = g.copy()
         outcome = step(gi, random.Random(trial_seed(seed, i)))
         counts[frozenset(outcome.edges_added)] += 1
-    assert set(counts) <= set(dist)
-    if len(dist) == 1:
-        return 1.0
-    stat = sum(
-        (counts.get(edges, 0) - float(p) * trials) ** 2 / (float(p) * trials)
-        for edges, p in dist.items()
-    )
-    return float(chi2.sf(stat, len(dist) - 1))
+    return _round0_chi_square(g, kind, counts, trials)[1]
 
 
 def test_criterion_01_exact_oracle_anchors():

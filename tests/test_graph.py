@@ -153,7 +153,6 @@ class TestQueries:
         assert h.missing_count == 0
 
     def test_copy_keeps_membership_apart(self):
-        # 300 nodes keep their neighbours in arrays, the others in lists
         for g in (
             path_graph(3),
             DirectedGraph(3, [(0, 1), (1, 2)]),
@@ -341,12 +340,16 @@ class TestSizeGate:
 
 
 class TestNeighbourStorage:
-    @pytest.mark.parametrize("n, container", [(256, list), (257, array)])
-    def test_container_is_chosen_by_n_alone(self, n, container):
-        for g in (UndirectedGraph(n), DirectedGraph(n), cycle_graph(n), generate("random", n, 1, p=0.02)):
+    @pytest.mark.parametrize("n", [1, 64, 256, 257])
+    def test_neighbours_are_2_byte_arrays_at_every_n(self, n):
+        chain = DirectedGraph(n, [(u, u + 1) for u in range(n - 1)])
+        built = [UndirectedGraph(n), DirectedGraph(n), chain]
+        generated = [] if n == 1 else [generate("path", n), generate("random", n, 1, p=0.02)]
+        for g in (*built, *generated, transitive_closure(chain)):
             for adj in (g._adj, g.copy()._adj):
-                assert {type(a) for a in adj} == {container}
-                assert container is list or {a.typecode for a in adj} == {"H"}
+                assert len(adj) == n
+                assert {type(a) for a in adj} == {array}
+                assert {a.typecode for a in adj} == {"H"}
 
     def test_closure_of_an_array_digraph_matches_its_rows(self):
         n = 300
@@ -362,15 +365,16 @@ class TestNeighbourStorage:
         assert MAX_NODES - 1 < 2 ** (8 * array("H").itemsize)
         assert array("H", [MAX_NODES - 1])[0] == MAX_NODES - 1
 
-    def test_complete_graph_costs_two_bytes_per_neighbour_above_256_nodes(self):
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_complete_graph_costs_two_bytes_per_neighbour(self, n):
         # 2 n^2 bytes of arrays and n^2 bytes of rows, 3.2 MiB at n = 1024;
-        # lists and their int objects took 24.7 MiB
+        # lists and their int objects took 24.7 MiB there, 644 KB at n = 256
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            complete_graph(1024)
+            complete_graph(n)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20
+        assert peak < 5 * n * n

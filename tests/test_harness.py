@@ -101,8 +101,8 @@ class TestRunSweep:
         ids=["cycle-tri", "dstrong-dtwohop"],
     )
     def test_seeded_csv_bytes_pinned(self, spec, rounds, digest):
-        # the same bytes on every Python version; the 300-node cells keep
-        # their neighbours in arrays and reach the tail engine
+        # the same bytes on every Python version; the 300-node cells reach
+        # the tail engine
         rows = harness.run_sweep(spec)
         assert [r.rounds for r in rows] == rounds
         text = harness.rows_to_csv(rows) + harness.aggregates_to_csv(harness.aggregate_rows(rows))
@@ -298,7 +298,7 @@ class TestCli:
         "family, n, process, seed, rounds, rows, digest",
         [
             ("path", 3, "twohop", 4, None, None, None),
-            # all three reach the tail engine; cycle(300) keeps its neighbours in arrays
+            # all three reach the tail engine
             (
                 "cycle", 300, "tri", 7, 1954, 987,
                 "a80123fbce7cdb6038f7a2046edf042693c8255f428470485bb3012c1046ce25",

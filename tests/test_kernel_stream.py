@@ -4,7 +4,7 @@ and one ``add_edge`` call per new edge.
 
 The kernels define the processes' semantics, so a rewrite of them must
 make the same draws, in the same order, and leave the same graph: the same
-neighbor lists in the same order (later draws index them), the same edges
+neighbour arrays in the same order (later draws index them), the same edges
 and membership answers, and the same edge count.  A kernel that raises
 leaves the graph as it was.  The tail engines' draws must take the same
 words as ``randrange`` and ``choice``.  The compiled rounds that
@@ -13,6 +13,7 @@ pins, and to the kernels at the hand-over.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -139,7 +140,7 @@ def _cases():
             ]
         for name, kernel, reference in kernels:
             yield pytest.param(family, 12, params, kernel, reference, id=f"{family}-{name}")
-    # above 256 nodes a graph keeps its neighbours in arrays, not lists
+    # and at a few hundred nodes
     for family, params in (("cycle", {}), ("random", {"p": 0.1})):
         yield pytest.param(family, 300, params, triangulation_round, _reference_triangulation_round,
                            id=f"{family}300-tri")
@@ -200,7 +201,7 @@ PINNED_ROUNDS = [
     ("cycle", 32, "twohop", [114, 93, 102]),
     ("dstrong", 16, "dtwohop", [187, 239, 227]),
     ("dweak", 16, "dtwohop", [28, 107, 28]),
-    # above 256 nodes the neighbours are arrays; the counts are the lists'
+    # a few hundred nodes, whose runs take thousands of rounds
     ("cycle", 300, "tri", [1947, 1796, 1643]),
     ("cycle", 300, "twohop", [1493, 1622, 2067]),
     ("dweak", 300, "dtwohop", [27400, 28787, 33381]),
@@ -394,18 +395,63 @@ def test_the_compiled_rounds_run_only_where_nothing_observes_a_kernel(monkeypatc
 
 
 @compiled_only
+@pytest.mark.parametrize("n", [64, 300])
 @pytest.mark.parametrize("kind", ["tri", "twohop"])
-def test_a_compiled_call_that_raises_leaves_the_arrays_holding_their_neighbours(kind):
+def test_a_compiled_call_that_raises_leaves_the_arrays_holding_their_neighbours(kind, n):
     # an edge count one short of the rows: the engine runs out of missing
     # edges at the complete graph and raises, after rounds whose appends
     # wrote into slots reserved in the arrays; the rounds run stay applied
-    g = generate("cycle", 300)
+    g = generate("cycle", n)
     g.edge_count -= 1
     with pytest.raises(ValueError, match="disagree"):
         run_to_convergence(g, ProcessConfig(kind=ProcessKind(kind), seed=1))
-    assert g.edge_count == 300 * 299 // 2 - 1
+    assert g.edge_count == n * (n - 1) // 2 - 1
     for u, row in enumerate(g._rows):
-        assert sorted(g._adj[u]) == [v for v in range(300) if row[v]]
+        assert sorted(g._adj[u]) == [v for v in range(n) if row[v]]
+
+
+@compiled_only
+@pytest.mark.parametrize("tri", [True, False])
+def test_a_compiled_call_appends_no_node_past_n_minus_1_neighbours(tri):
+    # K8 whose rows miss one pair its arrays hold: the kernel rounds queue
+    # the pair, and its first append finds node 2 at 7 neighbours already
+    g = generate("complete", 8)
+    g._rows[2][5] = g._rows[5][2] = 0
+    with pytest.raises(ValueError, match="disagree"):
+        # no hand-over and a target past the complete graph: kernel rounds
+        # until one queues the pair
+        process._compiled.rounds(g, random.Random(1), tri, False, 1000, 0.0, 29)
+    assert g.edge_count == 28
+    for u, row in enumerate(g._rows):
+        assert sorted(g._adj[u]) == [v for v in range(8) if row[v]] == [v for v in range(8) if v != u]
+
+
+@compiled_only
+def test_a_compiled_call_holds_at_most_the_complete_graphs_arrays():
+    # an array that runs out of room is replaced by one of n - 1 slots, so
+    # a call that stops after 3 rounds holds 2 (n - 1) bytes for each node
+    # that gained, at most the complete graph's 2 n (n - 1), beyond the
+    # call's own state, which a call on a graph that gains nothing holds
+    n = 1024
+
+    def held(g, rounds):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        directed = isinstance(g, DirectedGraph)
+        assert process._compiled.rounds(g, random.Random(1), True, directed, 3, process.TAIL_SHARE,
+                                        n * (n - 1) // 2)[0] == rounds
+        return tracemalloc.get_traced_memory()[1] - before
+
+    # traced from construction, so that the arrays replaced count as freed
+    tracemalloc.start()
+    try:
+        state = held(DirectedGraph(n), 1)
+        g = generate("cycle", n)
+        grown = held(g, 3)
+    finally:
+        tracemalloc.stop()
+    gained = sum(len(out) > 2 for out in g._adj)
+    assert grown - state <= 2 * (n - 1) * gained <= 2 * n * (n - 1)
 
 
 @pytest.mark.parametrize(
