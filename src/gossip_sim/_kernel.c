@@ -1,7 +1,9 @@
 /* The node loops of gossip_sim.process's triangulation_round and
  * twohop_round, run for consecutive rounds in one call, and on an
  * undirected graph the tail engines _TriTail and _HopTail after them, so
- * that one call runs a whole undirected run_to_convergence.
+ * that run_to_convergence makes one call a run: a whole undirected run, or
+ * a directed run's kernel rounds up to the hand-over.  It returns the
+ * rounds it ran.
  *
  * rounds() draws the Mersenne Twister words (Matsumoto and Nishimura 1998)
  * that the Python kernels and engines draw from the same random.Random:
@@ -630,12 +632,12 @@ draw(const Graph *g, Twister *s, Tail *t, int tri, long long missing, double cap
 static PyObject *
 rounds(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *graph, *rng, *state = NULL, *count_obj = NULL, *result = NULL;
+    PyObject *graph, *rng, *state = NULL, *count_obj = NULL;
     int tri, directed;
     Py_ssize_t budget, n, ran = 0, added = 0, i, j, k;
     long long target, count = 0, start, skip;
     double share;
-    int *queue = NULL, *drawn = NULL, *gain = NULL, failed = 1;
+    int *queue = NULL, *gain = NULL, failed = 1;
     Twister s;
     Graph g;
     Tail t;
@@ -661,9 +663,8 @@ rounds(PyObject *Py_UNUSED(module), PyObject *args)
     memset(&t, 0, sizeof t);
     /* a round queues at most one edge per node, an engine round too */
     queue = PyMem_New(int, 2 * n);
-    drawn = PyMem_New(int, 2 * n);
     gain = PyMem_Calloc(n, sizeof(int));
-    if (queue == NULL || drawn == NULL || gain == NULL) {
+    if (queue == NULL || gain == NULL) {
         PyErr_NoMemory();
         goto exit;
     }
@@ -696,32 +697,29 @@ rounds(PyObject *Py_UNUSED(module), PyObject *args)
                     || commit(&g, queue, added, 0, &count, &t) < 0)
                     goto exit;
             } else {
-                int *spare = queue;
-
-                if ((skip = draw(&g, &s, &t, tri, missing, cap, drawn, &k)) < 0)
+                if ((skip = draw(&g, &s, &t, tri, missing, cap, queue, &k)) < 0)
                     goto exit;
                 /* into the rows after the last candidate: a pair proposed
                  * twice joins once, at its first place */
                 for (i = j = 0; i < 2 * k; i += 2)
-                    if (!g.row[drawn[i]][drawn[i + 1]]) {
-                        g.row[drawn[i]][drawn[i + 1]] = g.row[drawn[i + 1]][drawn[i]] = 1;
-                        drawn[2 * j] = drawn[i];
-                        drawn[2 * j + 1] = drawn[i + 1];
+                    if (!g.row[queue[i]][queue[i + 1]]) {
+                        g.row[queue[i]][queue[i + 1]] = g.row[queue[i + 1]][queue[i]] = 1;
+                        queue[2 * j] = queue[i];
+                        queue[2 * j + 1] = queue[i + 1];
                         j++;
                     }
-                if (tri && check_doubling(&g, drawn, 2 * j, gain) < 0) {
-                    unqueue(&g, drawn, j, 0);
+                if (tri && check_doubling(&g, queue, 2 * j, gain) < 0) {
+                    unqueue(&g, queue, j, 0);
                     goto exit;
                 }
                 if (skip >= budget - ran) { /* drawn past the cap, not applied */
-                    unqueue(&g, drawn, j, 0);
+                    unqueue(&g, queue, j, 0);
                     ran = budget;
                     break;
                 }
                 ran += (Py_ssize_t)skip;
-                if (commit(&g, drawn, j, 0, &count, &t) < 0)
+                if (commit(&g, queue, j, 0, &count, &t) < 0)
                     goto exit;
-                queue = drawn, drawn = spare, added = j;
             }
             ran++;
         } while (ran < budget && count < target);
@@ -747,31 +745,17 @@ exit:
         if (type != NULL)
             PyErr_Restore(type, value, trace);
     }
-    if (!failed) {
-        PyObject *edges = PyList_New(added);
-
-        for (i = 0; edges != NULL && i < added; i++) {
-            PyObject *e = Py_BuildValue("(ii)", queue[2 * i], queue[2 * i + 1]);
-            if (e == NULL)
-                Py_CLEAR(edges);
-            else
-                PyList_SET_ITEM(edges, i, e);
-        }
-        if (edges != NULL)
-            result = Py_BuildValue("(nN)", ran, edges);
-    }
     Py_XDECREF(state);
     PyMem_Free(queue);
-    PyMem_Free(drawn);
     PyMem_Free(gain);
     close_tail(&t);
     close_graph(&g);
-    return result;
+    return failed ? NULL : PyLong_FromSsize_t(ran);
 }
 
 static PyMethodDef methods[] = {
     {"rounds", rounds, METH_VARARGS,
-     "rounds(g, rng, tri, directed, budget, share, target) -> (ran, edges)\n\n"
+     "rounds(g, rng, tri, directed, budget, share, target) -> ran\n\n"
      "Run kernel rounds on g from rng's stream: triangulation where tri is\n"
      "true, else the two-hop walk, on a digraph where directed is true.\n"
      "Stops after budget rounds, after the round that takes g's edge count\n"
@@ -779,8 +763,7 @@ static PyMethodDef methods[] = {
      "edges.  An undirected run does not stop there: it runs on in the\n"
      "kind's tail engine, as run_to_convergence does, to target or budget,\n"
      "and a skip past budget counts budget rounds and adds nothing.\n"
-     "Returns the rounds run, skipped ones included, and the last round's\n"
-     "edges in the order they were written."},
+     "Returns the rounds run, skipped ones included."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -244,10 +244,11 @@ def chain_span_presence(
     (out-degree n/2 - 1, and free two-hop routes such as clique edge plus
     chain edge exist at round 0), and their edges demonstrably appear
     faster than the recurrence tracks.  Needs ``n >= 6``, so that span 3
-    has a pooled position, and ``trials >= 2`` for the standard error.
+    has a pooled position, ``trials >= 2`` for the standard error, and
+    ``rounds >= 0``.
     """
-    if n < 6 or trials < 2:
-        raise ValueError(f"need n >= 6 and trials >= 2, got n={n}, trials={trials}")
+    if n < 6 or trials < 2 or rounds < 0:
+        raise ValueError(f"need n >= 6 and trials >= 2 and rounds >= 0, got {n=}, {trials=}, {rounds=}")
     spans = (2, 3)
     positions = {h: range(n // 2, n - h + 1) for h in spans}
     # 8 bytes a value, against a list's pointer and float object

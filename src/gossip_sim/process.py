@@ -43,9 +43,9 @@ The seam: ``run_to_convergence`` runs the kernel rounds compiled, by
 ``_kernel.c`` (built and loaded by ``_native``), where the package could
 build it and nothing observes or replaces a kernel: no ``trace_sink`` is
 given, and ``round_function(kind)`` and ``_check_degree_doubling`` are this
-module's own.  An undirected run is one call, which runs the kernel rounds
-and then the tail engine in C; a directed run makes one call up to the
-hand-over and one for each kernel round after it.  Either way the draws
+module's own.  A run makes one call, which returns the rounds it ran: an
+undirected run whole, its engine too, or a directed run up to the
+hand-over, where the Python engine takes it on.  Either way the draws
 and the graph are the Python kernels' and engines'.  Tracers, spies and
 substitute kernels see the Python kernels and engines run.
 """
@@ -391,13 +391,14 @@ def run_to_convergence(
         and step is _OWN[config.kind]
         and _check_degree_doubling is _OWN_CHECK
     )
-    if compiled and not config.kind.directed and g.edge_count < target:
-        # the whole run, the engine's rounds too, in one call
-        rounds = _compiled.rounds(
-            g, rng, config.kind is ProcessKind.TRIANGULATION, False, config.max_rounds, TAIL_SHARE, target
-        )[0]
-        return rounds, g.edge_count < target
     rounds, tail, added = 0, None, g.n
+    if compiled and g.edge_count < target:
+        # one call: an undirected run whole, a directed one up to the hand-over
+        tri, directed = config.kind is ProcessKind.TRIANGULATION, config.kind.directed
+        rounds = _compiled.rounds(g, rng, tri, directed, config.max_rounds, TAIL_SHARE, target)
+        if not directed or rounds == config.max_rounds:
+            return rounds, g.edge_count < target
+        added = 0  # at the target, or the engine is due
     while g.edge_count < target:
         if tail is None and added < TAIL_SHARE * g.n:
             tail = _tail(g, config.kind, reach)
@@ -409,15 +410,8 @@ def run_to_convergence(
         if trace_sink is not None:
             trace_sink.begin_round(g, rounds, target - g.edge_count)
         if drawn is None:
-            if compiled:  # directed: to the hand-over in one call, a round at a time after it
-                ran, edges = _compiled.rounds(
-                    g, rng, False, True, 1 if tail is not None else config.max_rounds - rounds,
-                    TAIL_SHARE, target,
-                )
-                rounds += ran - 1
-            else:
-                outcome = step(g, rng, round_index=rounds)
-                edges = outcome.edges_added
+            outcome = step(g, rng, round_index=rounds)
+            edges = outcome.edges_added
             added = len(edges)
         else:
             edges = drawn[1]

@@ -309,3 +309,7 @@ class TestChainSpanPresence:
     def test_refuses_inputs_without_an_estimate(self, n, trials):
         with pytest.raises(ValueError, match="n >= 6 and trials >= 2"):
             chain_span_presence(n, rounds=2, trials=trials, master_seed=5)
+
+    def test_refuses_negative_rounds(self):
+        with pytest.raises(ValueError, match="rounds >= 0, got .*rounds=-1"):
+            chain_span_presence(8, rounds=-1, trials=2, master_seed=0)

@@ -218,8 +218,9 @@ def test_rounds_to_convergence_are_pinned(kernels, family, n, kind, expected):
         config = ProcessConfig(kind=ProcessKind(kind), seed=trial_seed(1, i))
         rounds.append(run_to_convergence(generate(family, n), config)[0])
     assert rounds == expected
-    if kernels is not None and kind != "dtwohop":
-        # an undirected run, its engine's rounds too, is one compiled call
+    if kernels is not None:
+        # a run is one compiled call: an undirected run whole, a directed
+        # run up to the hand-over
         assert kernels.calls == 3
 
 
@@ -254,21 +255,19 @@ def _kernel_phase(g, kind, seed, max_rounds, compiled):
     """Kernel rounds on g from seed up to run_to_convergence's hand-over,
     the first round adding fewer than TAIL_SHARE * n edges, or to the
     target or max_rounds: by the compiled rounds in one call, or by the
-    kernels a round at a time.  Returns the rounds, the last round's
-    edges and the generator's state."""
+    kernels a round at a time.  Returns the rounds and the generator's
+    state; the neighbour orders hold the last round's edges."""
     rng = random.Random(seed)
     target = process.convergence_target(g, kind)
     if compiled:
         tri = kind is ProcessKind.TRIANGULATION
-        rounds, edges = process._compiled.rounds(
-            g, rng, tri, kind.directed, max_rounds, process.TAIL_SHARE, target
-        )
+        rounds = process._compiled.rounds(g, rng, tri, kind.directed, max_rounds, process.TAIL_SHARE, target)
     else:
-        rounds, edges = 0, [None] * g.n
-        while g.edge_count < target and len(edges) >= process.TAIL_SHARE * g.n and rounds < max_rounds:
-            edges = process.round_function(kind)(g, rng).edges_added
+        rounds, added = 0, g.n
+        while g.edge_count < target and added >= process.TAIL_SHARE * g.n and rounds < max_rounds:
+            added = len(process.round_function(kind)(g, rng).edges_added)
             rounds += 1
-    return rounds, edges, rng.getstate()
+    return rounds, rng.getstate()
 
 
 @compiled_only
@@ -296,16 +295,19 @@ def test_compiled_rounds_hand_over_as_the_kernels_do(family, n, kind, max_rounds
 
 
 def _both_paths(monkeypatch, make, kind, seed, max_rounds=10**7):
-    """``run_to_convergence`` on a graph from ``make`` compiled and on the
-    Python kernels and engines, checked to leave the same neighbour
-    orders, rows and edge count: both results, and the Python path's graph."""
-    runs = []
-    for compiled in (process._compiled, None):
+    """``run_to_convergence`` on a graph from ``make`` compiled, in one
+    call, and on the Python kernels and engines, checked to leave the same
+    neighbour orders, rows and edge count: both results, and the Python
+    path's graph."""
+    runs, counted = [], _Counted(process._compiled)
+    for compiled in (counted, None):
         monkeypatch.setattr(process, "_compiled", compiled)
         g = make()
         config = ProcessConfig(kind=ProcessKind(kind), seed=seed, max_rounds=max_rounds)
         runs.append((run_to_convergence(g, config), g))
+    monkeypatch.setattr(process, "_compiled", counted.compiled)
     (result, g), (expected, h) = runs
+    assert counted.calls == 1
     assert [list(out) for out in g._adj] == [list(out) for out in h._adj]
     assert g._rows == h._rows and g.edge_count == h.edge_count
     return result, expected, h
@@ -338,6 +340,29 @@ def test_compiled_runs_match_the_python_runs(monkeypatch, make, max_rounds, kind
     for seed in (trial_seed(1, 0), trial_seed(1, 1)):
         result, expected, _ = _both_paths(monkeypatch, make, kind, seed, max_rounds)
         assert result == expected and expected[1] == (max_rounds < 10**7)
+
+
+@compiled_only
+@pytest.mark.parametrize("share", [process.TAIL_SHARE, 1])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate("dstrong", 32),
+        lambda: generate("dweak", 64),
+        # 137-157 compiled kernel rounds before the hand-over
+        lambda: DirectedGraph(64, [(i, (i + 1) % 64) for i in range(64)]),
+        # test_tail's digraph whose engine's cap reaches 1 at the hand-over
+        lambda: DirectedGraph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 0)]),
+    ],
+    ids=["dstrong32", "dweak64", "dcycle64", "digraph5"],
+)
+def test_compiled_directed_runs_match_the_python_runs(monkeypatch, make, share):
+    # the kernel rounds to the hand-over in one call, and after it the
+    # Python engine, with a Python kernel round where its cap reaches 1
+    monkeypatch.setattr(process, "TAIL_SHARE", share)
+    for seed in (trial_seed(1, 0), trial_seed(1, 1)):
+        result, expected, _ = _both_paths(monkeypatch, make, "dtwohop", seed)
+        assert result == expected and not expected[1]
 
 
 @compiled_only
@@ -439,7 +464,7 @@ def test_a_compiled_call_holds_at_most_the_complete_graphs_arrays():
         tracemalloc.reset_peak()
         directed = isinstance(g, DirectedGraph)
         assert process._compiled.rounds(g, random.Random(1), True, directed, 3, process.TAIL_SHARE,
-                                        n * (n - 1) // 2)[0] == rounds
+                                        n * (n - 1) // 2) == rounds
         return tracemalloc.get_traced_memory()[1] - before
 
     # traced from construction, so that the arrays replaced count as freed
