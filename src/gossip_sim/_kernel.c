@@ -648,6 +648,10 @@ rounds(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "budget must be at least 1");
         return NULL;
     }
+    if (tri && directed) {
+        PyErr_SetString(PyExc_ValueError, "no process runs triangulation on a digraph");
+        return NULL;
+    }
     if (open_graph(&g, graph) < 0) {
         close_graph(&g);
         return NULL;
@@ -757,7 +761,8 @@ static PyMethodDef methods[] = {
     {"rounds", rounds, METH_VARARGS,
      "rounds(g, rng, tri, directed, budget, share, target) -> ran\n\n"
      "Run kernel rounds on g from rng's stream: triangulation where tri is\n"
-     "true, else the two-hop walk, on a digraph where directed is true.\n"
+     "true, else the two-hop walk, on a digraph where directed is true\n"
+     "(refused with tri).\n"
      "Stops after budget rounds, after the round that takes g's edge count\n"
      "to target, or after the first round that adds fewer than share * n\n"
      "edges.  An undirected run does not stop there: it runs on in the\n"

@@ -351,12 +351,27 @@ def empirical_vs_exact(g, kind: ProcessKind, trials: int, seed: int) -> dict:
     }
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail of the chi-square law with integer ``df`` >= 1 at ``x``, in
+    closed form (Abramowitz and Stegun 1964, 26.4.4-26.4.5).  With h = x/2:
+    sum_{k < df/2} e^-h h^k / k! for even df, and for odd df erfc(sqrt h)
+    + sum_{0 < k < df/2} e^-h h^(k-1/2) / Gamma(k + 1/2).  Each term is the
+    exp of its logarithm, so that none underflows before the sum."""
+    if x <= 0:
+        return 1.0
+    h, half = x / 2, df % 2 / 2  # the terms' powers of h are half + j
+    log_h = math.log(h)
+    tail = math.fsum(math.exp((half + j) * log_h - h - math.lgamma(half + j + 1)) for j in range(df // 2))
+    # near x = 0 the rounded sum can exceed 1 by an ulp
+    return min(1.0, tail + (math.erfc(math.sqrt(h)) if half else 0.0))
+
+
 def _round0_chi_square(g, kind: ProcessKind, counts: Counter, trials: int) -> tuple[float, float]:
     """Pearson's chi-square of ``counts``, the edge sets the first round
     added in ``trials`` runs on ``g``, against ``single_round_distribution``,
-    and its p-value: 1 where the round has one outcome."""
-    from scipy.stats import chi2
-
+    and its p-value from ``_chi2_sf``, the closed-form tail for integer
+    degrees of freedom (Abramowitz and Stegun 26.4.4-26.4.5): 1 where the
+    round has one outcome."""
     dist = single_round_distribution(g, kind)
     unexpected = set(counts) - set(dist)
     if unexpected:
@@ -366,4 +381,4 @@ def _round0_chi_square(g, kind: ProcessKind, counts: Counter, trials: int) -> tu
         expected_count = float(p) * trials
         chi_sq += (counts.get(edges, 0) - expected_count) ** 2 / expected_count
     df = len(dist) - 1
-    return chi_sq, 1.0 if df == 0 else float(chi2.sf(chi_sq, df))
+    return chi_sq, 1.0 if df == 0 else _chi2_sf(chi_sq, df)

@@ -10,7 +10,6 @@ import statistics
 import time
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from gossip_sim.analysis import (
@@ -82,6 +81,8 @@ def _limit_fit(rounds_by_n, seed, norm, second):
     is the 0.1% quantile of ``a`` over a seeded percentile bootstrap that
     resamples the trials at each size independently.
     """
+    import numpy as np
+
     sizes = sorted(rounds_by_n)
     scale = norm(np.array(sizes))
     design = np.column_stack([np.ones(len(sizes)), second(np.array(sizes))])
@@ -100,11 +101,15 @@ def _limit_fit(rounds_by_n, seed, norm, second):
 
 def _nlogn_limit(rounds_by_n, seed):
     """Criterion 03's model: ``median/(n ln n) = a + b/ln n``."""
+    import numpy as np
+
     return _limit_fit(rounds_by_n, seed, lambda n: n * np.log(n), lambda n: 1 / np.log(n))
 
 
 def _n2_limit(rounds_by_n, seed):
     """Criterion 07's model: ``median/n^2 = a + b ln(n)/n``."""
+    import numpy as np
+
     return _limit_fit(rounds_by_n, seed, lambda n: n * n, lambda n: np.log(n) / n)
 
 
@@ -222,6 +227,8 @@ def test_criterion_03_rule_self_check():
     n*H_n draws on average, and flipping a fair coin until n heads come up
     takes 2n flips.
     """
+    import numpy as np
+
     rng = np.random.default_rng(SWEEP_SEED)
 
     def sample(success_probs):
@@ -350,6 +357,8 @@ def test_criterion_07_rule_self_check():
     Theta(n log n) one, sampled exactly at its sizes and trials: n
     successes at probability 1/n each take n^2 draws on average, and
     collecting all n coupons takes n*H_n."""
+    import numpy as np
+
     rng = np.random.default_rng(DWEAK_SEED)
 
     def sample(success_probs):

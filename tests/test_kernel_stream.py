@@ -405,6 +405,18 @@ def test_compiled_rounds_refuse_a_state_they_cannot_read():
 
 
 @compiled_only
+def test_compiled_rounds_refuse_triangulation_on_a_digraph():
+    # no process runs tri on a digraph: its rounds would set both row bytes
+    # of a pair and append one end only, so the call is refused before the
+    # graph is read
+    g = DirectedGraph(16, [(i, (i + step) % 16) for i in range(16) for step in (1, 2)])
+    before = _state(g)
+    with pytest.raises(ValueError, match="triangulation on a digraph"):
+        process._compiled.rounds(g, random.Random(1), True, True, 3, 0.0, 240)
+    assert _state(g) == before
+
+
+@compiled_only
 @pytest.mark.parametrize(
     "trace_sink, replaced",
     [(None, None), (TraceCollector(), None), (None, "triangulation_round"), (None, "_check_degree_doubling")],
@@ -463,8 +475,9 @@ def test_a_compiled_call_holds_at_most_the_complete_graphs_arrays():
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         directed = isinstance(g, DirectedGraph)
-        assert process._compiled.rounds(g, random.Random(1), True, directed, 3, process.TAIL_SHARE,
-                                        n * (n - 1) // 2) == rounds
+        assert process._compiled.rounds(
+            g, random.Random(1), not directed, directed, 3, process.TAIL_SHARE, n * (n - 1) // 2
+        ) == rounds
         return tracemalloc.get_traced_memory()[1] - before
 
     # traced from construction, so that the arrays replaced count as freed

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -484,3 +486,24 @@ class TestEmpiricalVsExact:
         report = empirical_vs_exact(cycle_graph(4), HOP, trials=20_000, seed=77)
         assert report["p_value"] > 0.001
         assert abs(report["z"]) <= 3.0
+
+    def test_runs_where_scipy_cannot_be_imported(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        report = empirical_vs_exact(path_graph(3), TRI, trials=2000, seed=424242)
+        assert 0 < report["p_value"] <= 1
+
+
+def test_chi2_tail_matches_scipy_on_a_grid():
+    # the closed form against scipy's incomplete gamma, wherever scipy's
+    # value is a normal double well above underflow; skipped where scipy
+    # is missing or cannot load
+    stats = pytest.importorskip("scipy.stats", exc_type=ImportError)
+    grid = [0.01 * 1.1**i for i in range(123)] + [1200.0]
+    rng = random.Random(20)
+    xs = grid + [rng.uniform(0.01, 1200) for _ in range(40)]
+    for df in range(1, 301):
+        assert oracle._chi2_sf(0.0, df) == 1.0
+        for x, ref in zip(xs, stats.chi2.sf(xs, df)):
+            if ref > 1e-280:
+                assert oracle._chi2_sf(x, df) == pytest.approx(ref, rel=1e-12, abs=0), (x, df)
